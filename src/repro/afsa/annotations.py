@@ -18,47 +18,39 @@ adjustments reproduce the paper's published artifacts:
   because the corresponding internal choice branch was removed along
   with the transition.  Without this the proposal would be trivially
   empty and useless as a suggestion.
+
+Both run on the integer-dense kernel (:func:`k_strip_annotations`,
+:func:`k_weaken_unsupported_annotations`) so the propagation pipeline
+chains them without materializing; the ``AFSA`` functions are thin
+boundary wrappers.
 """
 
 from __future__ import annotations
 
 from repro.afsa.automaton import AFSA
+from repro.afsa.kernel import Kernel, k_with, kernel_of, materialize
 from repro.formula.ast import Formula, TRUE
 from repro.formula.simplify import simplify
 from repro.formula.transform import substitute
-from repro.messages.label import label_text
+from repro.messages.alphabet import INTERNER
 
 
-def strip_annotations(automaton: AFSA) -> AFSA:
-    """Return *automaton* with all state annotations removed."""
-    if not automaton.annotations:
-        return automaton
-    return AFSA(
-        states=automaton.states,
-        transitions=[t.as_tuple() for t in automaton.transitions],
-        start=automaton.start,
-        finals=automaton.finals,
-        annotations={},
-        alphabet=automaton.alphabet,
-        name=automaton.name,
-    )
+def k_strip_annotations(kernel: Kernel) -> Kernel:
+    """*kernel* with all state annotations removed."""
+    if not kernel.ann:
+        return kernel
+    return k_with(kernel, ann={})
 
 
-def weaken_unsupported_annotations(automaton: AFSA) -> AFSA:
-    """Weaken annotation variables with no supporting transition.
-
-    For every annotated state, variables naming messages the state has
-    no outgoing transition for are substituted with ``true``.  States
-    whose whole annotation becomes ``true`` lose their entry.
-    """
+def k_weaken_unsupported_annotations(kernel: Kernel) -> Kernel:
+    """*kernel* with annotation variables that name no outgoing label of
+    their state weakened to ``true`` (see
+    :func:`weaken_unsupported_annotations`)."""
+    text_of = INTERNER.text
     new_annotations: dict = {}
     changed = False
-    for state, formula in automaton.annotations.items():
-        supported = {
-            label_text(transition.label)
-            for transition in automaton.transitions_from(state)
-            if not transition.is_silent
-        }
+    for state, formula in kernel.ann.items():
+        supported = {text_of(lid) for lid in kernel.adj[state]}
 
         def resolver(name: str):
             if name in supported:
@@ -71,13 +63,28 @@ def weaken_unsupported_annotations(automaton: AFSA) -> AFSA:
         if weakened != TRUE:
             new_annotations[state] = weakened
     if not changed:
+        return kernel
+    return k_with(kernel, ann=new_annotations)
+
+
+def strip_annotations(automaton: AFSA) -> AFSA:
+    """Return *automaton* with all state annotations removed."""
+    if not automaton.annotations:
         return automaton
-    return AFSA(
-        states=automaton.states,
-        transitions=[t.as_tuple() for t in automaton.transitions],
-        start=automaton.start,
-        finals=automaton.finals,
-        annotations=new_annotations,
-        alphabet=automaton.alphabet,
-        name=automaton.name,
+    return materialize(
+        k_strip_annotations(kernel_of(automaton)), name=automaton.name
     )
+
+
+def weaken_unsupported_annotations(automaton: AFSA) -> AFSA:
+    """Weaken annotation variables with no supporting transition.
+
+    For every annotated state, variables naming messages the state has
+    no outgoing transition for are substituted with ``true``.  States
+    whose whole annotation becomes ``true`` lose their entry.
+    """
+    kernel = kernel_of(automaton)
+    weakened = k_weaken_unsupported_annotations(kernel)
+    if weakened is kernel:
+        return automaton
+    return materialize(weakened, name=automaton.name)

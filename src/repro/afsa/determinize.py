@@ -9,11 +9,11 @@ projected views — and is resolved by the classic subset construction.
 Annotation handling mirrors ε-elimination: a macro-state's annotation is
 the **conjunction** of its members' annotations.  Nondeterminism models a
 choice the process resolves internally, so the partner must satisfy the
-requirements of every state the process might privately occupy.  This is
-conservative: the unannotated language is preserved exactly, while the
-annotated language may shrink (never grow).  The paper's own pipelines
-only determinize automata whose merged states carry compatible
-annotations, where the construction is exact.
+requirements of every state the process might privately occupy.  The
+unannotated language is preserved exactly; the annotated verdict is not
+monotone in either direction — conjoining can strengthen requirements,
+while a macro state pools its members' transitions, so one member's
+requirement can be met by a sibling's edge (DESIGN.md, deviation #3).
 
 The construction runs on the integer-dense kernel
 (:mod:`repro.afsa.kernel`); the determinized kernel is memoized on the

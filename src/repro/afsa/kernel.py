@@ -86,6 +86,7 @@ class Kernel:
         "_deterministic",
         "_eps_free",
         "_det",
+        "_subsets",
         "_sorted_labels",
         "_good",
         "_coreach",
@@ -121,6 +122,7 @@ class Kernel:
         self._deterministic = None
         self._eps_free = None
         self._det = None
+        self._subsets = None
         self._sorted_labels = None
         self._good = None
         self._coreach = None
@@ -426,6 +428,29 @@ def k_trim(kernel: Kernel) -> Kernel:
     return trimmed
 
 
+def k_with(kernel: Kernel, names: list | None = None, ann: dict | None = None) -> Kernel:
+    """*kernel* with its state *names* and/or annotation map *ann*
+    replaced; the transition structure is shared.  The ε-free memo
+    carries over (neither change adds or removes moves), the
+    determinization memo only when the annotations stay."""
+    result = Kernel(
+        n=kernel.n,
+        start=kernel.start,
+        names=kernel.names if names is None else names,
+        finals=kernel.finals,
+        ann=kernel.ann if ann is None else ann,
+        adj=kernel.adj,
+        eps=kernel.eps,
+        alphabet_ids=kernel.alphabet_ids,
+    )
+    if kernel._eps_free is kernel:
+        result._eps_free = result
+    if ann is None and kernel._det is kernel:
+        result._det = result
+        result._deterministic = True
+    return result
+
+
 def k_remove_epsilon(kernel: Kernel) -> Kernel:
     """ε-free equivalent with the original state identities (trimmed).
 
@@ -503,7 +528,11 @@ def k_determinize(kernel: Kernel) -> Kernel:
     """Subset construction (annotations conjoined per macro state).
 
     Macro-state names are frozensets of the ε-free base-state names,
-    exactly as the historical ``determinize`` produced.
+    exactly as the historical ``determinize`` produced; the member
+    int states of each macro (states of ``k_remove_epsilon(kernel)``)
+    are kept in ``_subsets`` for :func:`k_minimize_with_members`.  A
+    deterministic base is returned as is (``_subsets`` stays None: each
+    state is its own singleton macro).
     """
     if kernel._det is not None:
         return kernel._det
@@ -576,6 +605,7 @@ def k_determinize(kernel: Kernel) -> Kernel:
     result._deterministic = True
     result._eps_free = result
     result._det = result
+    result._subsets = macro_members
     base._det = result
     kernel._det = result
     return result
@@ -787,11 +817,43 @@ def k_difference(left: Kernel, right: Kernel) -> Kernel:
 def k_minimize(kernel: Kernel) -> Kernel:
     """Annotation-aware Moore minimization with canonical ``m0…`` names.
 
-    Reproduces the historical ``minimize`` exactly: determinize + trim,
-    initial partition by (finality, annotation), refinement on successor
-    blocks, block naming in BFS order over labels sorted by text.
+    Reproduces the historical ``minimize`` exactly: determinize (whose
+    output is reachable by construction), initial partition by
+    (finality, annotation), refinement on successor blocks, block
+    naming in BFS order over labels sorted by text.
     """
-    dfa = k_trim(k_determinize(kernel))
+    return _minimize_dfa(k_determinize(kernel))[0]
+
+
+def k_minimize_with_members(kernel: Kernel) -> tuple:
+    """:func:`k_minimize` plus the state correspondence of the quotient.
+
+    Returns ``(minimized, members)`` where ``members[i]`` is the set of
+    *kernel* states that minimized state ``i`` represents: the
+    ε-closures of the determinize subsets merged into its block.  That
+    is exactly what a lockstep subset simulation of *kernel* against
+    the minimized automaton collects (both read the same words from
+    their start states), read off the construction instead of
+    re-simulated.
+    """
+    dfa = k_determinize(kernel)
+    minimized, block_of = _minimize_dfa(dfa)
+    base = k_remove_epsilon(kernel)
+    index = kernel.index()
+    closures = kernel.closures()
+    base_names = base.names
+    subsets = dfa._subsets
+    members: list = [set() for _ in range(minimized.n)]
+    for state in range(dfa.n):
+        bucket = members[block_of[state]]
+        for member in subsets[state] if subsets is not None else (state,):
+            bucket.update(closures[index[base_names[member]]])
+    return minimized, members
+
+
+def _minimize_dfa(dfa: Kernel) -> tuple:
+    """Minimize the reachable DFA *dfa*; return ``(minimized, block)``
+    with ``block[s]`` the minimized state of DFA state ``s``."""
     n = dfa.n
     labels = dfa.sorted_label_ids()
 
@@ -806,11 +868,13 @@ def k_minimize(kernel: Kernel) -> Kernel:
             ]
         )
 
-    # Initial partition: (finality, annotation) classes.
+    # Initial partition: (finality, annotation) classes.  block_of
+    # carries one trailing -1 so that a missing successor (-1) reads
+    # back as block -1 without a branch.
     finals = dfa.finals
     ann = dfa.ann
     class_ids: dict = {}
-    block_of = [0] * n
+    block_of = [0] * n + [-1]
     for state in range(n):
         key = (state in finals, ann.get(state, TRUE))
         block = class_ids.get(key)
@@ -822,15 +886,10 @@ def k_minimize(kernel: Kernel) -> Kernel:
 
     while True:
         signature_ids: dict = {}
-        new_block_of = [0] * n
+        new_block_of = [0] * n + [-1]
+        block_at = block_of.__getitem__
         for state in range(n):
-            signature = (
-                block_of[state],
-                tuple(
-                    block_of[target] if target >= 0 else -1
-                    for target in succ[state]
-                ),
-            )
+            signature = (block_of[state], *map(block_at, succ[state]))
             block = signature_ids.get(signature)
             if block is None:
                 block = len(signature_ids)
@@ -899,7 +958,7 @@ def k_minimize(kernel: Kernel) -> Kernel:
     result._deterministic = True
     result._eps_free = result
     result._det = result
-    return result
+    return result, [position[block] for block in block_of[:n]]
 
 
 # -- emptiness ----------------------------------------------------------------

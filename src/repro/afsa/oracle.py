@@ -10,15 +10,21 @@ home: an independent, materialize-everything implementation of the
 and the benchmark baselines to diff the lazy results against.
 
 Importing :func:`~repro.afsa.kernel.k_intersect` anywhere outside
-``afsa/``, ``tests/`` or this module fails the CI grep lint; both
-entry points below bump the ``eager_oracle`` counter in
+``afsa/``, ``tests/`` or this module fails the CI grep lint; every
+entry point below bumps the ``eager_oracle`` counter in
 :func:`repro.afsa.lazy.warm_stats`, and the sweep telemetry asserts
 that counter stays zero on every non-test path.
+
+:func:`materialized_intersection` is the one diagnostic entry: it
+builds the product automaton a caller explicitly asked to *look at*
+(:attr:`repro.core.classify.ChangeClassification.intersection`); no
+verdict depends on it.
 """
 
 from __future__ import annotations
 
 from repro.afsa import lazy as _lazy
+from repro.afsa.automaton import AFSA
 from repro.afsa.emptiness import (
     EmptinessWitness,
     kernel_completion_bfs,
@@ -30,6 +36,8 @@ from repro.afsa.kernel import (
     k_good_states_naive,
     k_intersect,
     k_remove_epsilon,
+    kernel_of,
+    materialize,
 )
 from repro.formula.evaluate import evaluate
 from repro.messages.alphabet import INTERNER
@@ -51,6 +59,17 @@ def eager_pair_verdict(left: Kernel, right: Kernel) -> bool:
     if a.ann_profile()[2] and b.ann_profile()[2]:
         return product.start in k_good_states(product)
     return product.start in k_good_states_naive(product)
+
+
+def materialized_intersection(left: AFSA, right: AFSA) -> AFSA:
+    """The annotated product ``left ∩ right`` (Def. 3), materialized
+    for inspection — the same automaton
+    :func:`repro.afsa.product.intersect` returns."""
+    _lazy._WITNESS_STATS["eager_oracle"] += 1
+    name = f"({left.name or 'A'} ∩ {right.name or 'B'})"
+    return materialize(
+        k_intersect(kernel_of(left), kernel_of(right)), name=name
+    )
 
 
 def eager_pair_witness(left: Kernel, right: Kernel) -> EmptinessWitness:

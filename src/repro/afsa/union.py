@@ -16,10 +16,50 @@ test suite checks them against each other on random automata.
 
 from __future__ import annotations
 
-from repro.afsa.automaton import AFSA, AFSABuilder
+from repro.afsa.automaton import AFSA
 from repro.afsa.complement import complement
-from repro.afsa.epsilon import remove_epsilon
+from repro.afsa.kernel import (
+    Kernel,
+    k_remove_epsilon,
+    kernel_of,
+    materialize,
+)
 from repro.afsa.product import intersect
+
+
+def k_union(left: Kernel, right: Kernel) -> Kernel:
+    """The direct union on kernels (see :func:`union`): operand states
+    tagged ``(0, name)`` / ``(1, name)``, a fresh ``("∪", "start")``
+    with ε-moves into both starts, then ε-eliminated."""
+    fresh = left.n + right.n
+    names: list = [(0, name) for name in left.names]
+    names.extend((1, name) for name in right.names)
+    names.append(("∪", "start"))
+    offset = left.n
+    adj = list(left.adj)
+    adj.extend(
+        {lid: tuple(t + offset for t in targets) for lid, targets in row.items()}
+        for row in right.adj
+    )
+    adj.append({})
+    eps = list(left.eps)
+    eps.extend(tuple(t + offset for t in row) for row in right.eps)
+    eps.append((left.start, right.start + offset))
+    ann = dict(left.ann)
+    ann.update(
+        (state + offset, formula) for state, formula in right.ann.items()
+    )
+    joined = Kernel(
+        n=fresh + 1,
+        start=fresh,
+        names=names,
+        finals=left.finals | frozenset(s + offset for s in right.finals),
+        ann=ann,
+        adj=adj,
+        eps=eps,
+        alphabet_ids=left.alphabet_ids | right.alphabet_ids,
+    )
+    return k_remove_epsilon(joined)
 
 
 def union(left: AFSA, right: AFSA, name: str = "") -> AFSA:
@@ -36,28 +76,9 @@ def union(left: AFSA, right: AFSA, name: str = "") -> AFSA:
         left_name = left.name or "A"
         right_name = right.name or "B"
         name = f"({left_name} ∪ {right_name})"
-
-    builder = AFSABuilder(name=name)
-    fresh_start = ("∪", "start")
-    builder.set_start(fresh_start)
-
-    for tag, operand in ((0, left), (1, right)):
-        for transition in operand.transitions:
-            builder.add_transition(
-                (tag, transition.source),
-                transition.label,
-                (tag, transition.target),
-            )
-        for state in operand.states:
-            builder.add_state((tag, state))
-        for state in operand.finals:
-            builder.mark_final((tag, state))
-        for state, formula in operand.annotations.items():
-            builder.annotate((tag, state), formula)
-        builder.add_epsilon(fresh_start, (tag, operand.start))
-        builder.extend_alphabet(operand.alphabet)
-
-    return remove_epsilon(builder.build())
+    return materialize(
+        k_union(kernel_of(left), kernel_of(right)), name=name
+    )
 
 
 def union_de_morgan(left: AFSA, right: AFSA, name: str = "") -> AFSA:

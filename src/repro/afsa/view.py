@@ -11,70 +11,102 @@ substituted with ``true``): such requirements belong to a *different*
 bilateral conversation and can never be satisfied by an ε-labeled
 transition — without neutralization every projected view would be
 trivially empty, contradicting Figs. 8/10/12/16 (see DESIGN.md).
+
+The projection runs on the integer-dense kernel
+(:mod:`repro.afsa.kernel`): :func:`k_project_raw` moves foreign label
+ids into the ε rows and neutralizes the annotation map, and
+:func:`project_view` hands that kernel straight to
+:func:`~repro.afsa.kernel.k_minimize`.  No intermediate ``AFSA`` is
+built; the one materialization is the returned view, whose kernel the
+consistency sweeps and the lazy verdict engine consume directly.
 """
 
 from __future__ import annotations
 
 from repro.afsa.automaton import AFSA
-from repro.afsa.epsilon import remove_epsilon
-from repro.afsa.minimize import minimize as minimize_afsa
+from repro.afsa.kernel import (
+    Kernel,
+    k_minimize,
+    k_remove_epsilon,
+    kernel_of,
+    materialize,
+)
 from repro.formula.ast import Formula, TRUE
 from repro.formula.simplify import simplify
 from repro.formula.transform import substitute
-from repro.messages.label import (
-    EPSILON,
-    MessageLabel,
-    label_involves,
-    parse_label,
-)
+from repro.messages.alphabet import INTERNER
+from repro.messages.label import label_involves
 
 
 def _neutralize_foreign_variables(formula: Formula, partner: str) -> Formula:
     """Substitute ``true`` for variables not involving *partner*."""
 
     def resolver(name: str):
-        parsed = parse_label(name)
-        if isinstance(parsed, MessageLabel) and parsed.involves(partner):
+        if label_involves(name, partner):
             return None  # keep
         return True  # neutralize
 
     return simplify(substitute(formula, resolver))
 
 
+def k_project_raw(kernel: Kernel, partner: str) -> Kernel:
+    """The relabeled view kernel: foreign label ids become ε moves,
+    foreign annotation variables become ``true``; state numbering and
+    names are kept (so view states map back to the original states)."""
+    involved = frozenset(
+        lid
+        for lid in kernel.alphabet_ids
+        if label_involves(INTERNER.label(lid), partner)
+    )
+    adj: list = []
+    eps: list = []
+    for state, row in enumerate(kernel.adj):
+        kept: dict = {}
+        silent = kernel.eps[state]
+        foreign = None
+        for lid, targets in row.items():
+            if lid in involved:
+                kept[lid] = targets
+            elif foreign is None:
+                foreign = list(silent) + list(targets)
+            else:
+                foreign.extend(targets)
+        adj.append(kept)
+        eps.append(silent if foreign is None else tuple(dict.fromkeys(foreign)))
+
+    ann: dict = {}
+    for state, formula in kernel.ann.items():
+        neutralized = _neutralize_foreign_variables(formula, partner)
+        if neutralized != TRUE:
+            ann[state] = neutralized
+
+    return Kernel(
+        n=kernel.n,
+        start=kernel.start,
+        names=kernel.names,
+        finals=kernel.finals,
+        ann=ann,
+        adj=adj,
+        eps=eps,
+        alphabet_ids=involved,
+    )
+
+
+def _view_name(automaton: AFSA, partner: str) -> str:
+    return f"τ_{partner}({automaton.name or 'A'})"
+
+
 def project_view_raw(automaton: AFSA, partner: str) -> AFSA:
     """Return the *relabeled* view: foreign messages become ε, foreign
     annotation variables become ``true``, state identities are kept.
 
-    This is the pre-minimization stage of τ_partner; the propagation
-    pipeline uses it to map view states back to the original states
-    (and from there, through the mapping table, to private-process
-    blocks).
+    This is the pre-minimization stage of τ_partner, materialized for
+    inspection; the propagation pipeline works on :func:`k_project_raw`
+    directly.
     """
-    transitions = []
-    for transition in automaton.transitions:
-        if transition.is_silent or label_involves(
-            transition.label, partner
-        ):
-            transitions.append(transition.as_tuple())
-        else:
-            transitions.append(
-                (transition.source, EPSILON, transition.target)
-            )
-
-    annotations = {}
-    for state, formula in automaton.annotations.items():
-        neutralized = _neutralize_foreign_variables(formula, partner)
-        if neutralized != TRUE:
-            annotations[state] = neutralized
-
-    return AFSA(
-        states=automaton.states,
-        transitions=transitions,
-        start=automaton.start,
-        finals=automaton.finals,
-        annotations=annotations,
-        alphabet=automaton.alphabet.involving(partner),
-        name=f"τ_{partner}({automaton.name or 'A'})",
+    return materialize(
+        k_project_raw(kernel_of(automaton), partner),
+        name=_view_name(automaton, partner),
     )
 
 
@@ -101,10 +133,11 @@ def project_view(
     key = (partner, minimize)
     view = memo.get(key)
     if view is None:
-        projected = project_view_raw(automaton, partner)
-        if minimize:
-            view = minimize_afsa(projected).with_name(projected.name)
-        else:
-            view = remove_epsilon(projected)
+        projected = k_project_raw(kernel_of(automaton), partner)
+        reduced = (
+            k_minimize(projected) if minimize
+            else k_remove_epsilon(projected)
+        )
+        view = materialize(reduced, name=_view_name(automaton, partner))
         memo[key] = view
     return view

@@ -34,13 +34,18 @@ paper's Fig. 6) plus the mapping table re-keyed to those states.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.afsa.automaton import AFSA, AFSABuilder, State
-from repro.afsa.minimize import minimize
+from repro.afsa.kernel import (
+    k_minimize_with_members,
+    k_with,
+    kernel_of,
+    materialize,
+)
 from repro.bpel.firsts import first_messages
-from repro.bpel.mapping import BlockPath, MappingTable, state_correspondence
+from repro.bpel.mapping import BlockPath, MappingTable
 from repro.bpel.model import (
     Activity,
     Assign,
@@ -102,6 +107,9 @@ class CompiledProcess:
         mapping: the state↔block mapping table keyed by ``afsa`` states.
         raw_mapping: the mapping table keyed by ``raw`` states.
         correspondence: minimized state → set of raw states.
+        bilateral_memo: per-originator restrictions of :attr:`afsa` to
+            one bilateral conversation, filled by
+            :mod:`repro.core.propagate`.
     """
 
     process: ProcessModel
@@ -110,6 +118,9 @@ class CompiledProcess:
     mapping: MappingTable
     raw_mapping: MappingTable
     correspondence: dict[State, set[State]]
+    bilateral_memo: dict = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def public(self) -> AFSA:
@@ -610,33 +621,21 @@ def compile_process(
     raw = compiler.builder.build(start=entry)
     raw = raw.with_name(f"{process.name} (raw public)")
 
-    minimized = minimize(raw)
-    # minimize() names states m0..mk in BFS order; renumber 1..n to match
-    # the paper's figures (Fig. 6, Table 1).
-    renumber = {
-        state: int(str(state)[1:]) + 1 for state in minimized.states
-    }
-    public = AFSA(
-        states=renumber.values(),
-        transitions=[
-            (
-                renumber[transition.source],
-                transition.label,
-                renumber[transition.target],
-            )
-            for transition in minimized.transitions
-        ],
-        start=renumber[minimized.start],
-        finals=[renumber[state] for state in minimized.finals],
-        annotations={
-            renumber[state]: formula
-            for state, formula in minimized.annotations.items()
-        },
-        alphabet=minimized.alphabet,
+    # Minimization numbers blocks in BFS order; the public states are
+    # those positions renumbered 1..n to match the paper's figures
+    # (Fig. 6, Table 1).  The state correspondence is read off the
+    # determinize subsets and the minimization blocks.
+    raw_kernel = kernel_of(raw)
+    minimized, members = k_minimize_with_members(raw_kernel)
+    public = materialize(
+        k_with(minimized, names=list(range(1, minimized.n + 1))),
         name=f"{process.name} public",
     )
-
-    correspondence = state_correspondence(raw, public)
+    raw_names = raw_kernel.names
+    correspondence = {
+        position + 1: {raw_names[state] for state in states}
+        for position, states in enumerate(members)
+    }
     mapping = compiler.mapping.composed_with(correspondence)
     compiled = CompiledProcess(
         process=process,

@@ -8,10 +8,13 @@ propagation algorithms use in step 3 ("derive the regions of the
 opponent's private process where adaptations have to be performed").
 
 Because the published public processes are *minimized*, the table must
-survive minimization: :func:`state_correspondence` computes which raw
-compiler states each minimized state represents by a lockstep
-subset-simulation of the two automata, and
+survive minimization: the compiler reads which raw compiler states each
+minimized state represents off the minimization itself
+(:func:`~repro.afsa.kernel.k_minimize_with_members`), and
 :meth:`MappingTable.composed_with` regroups the entries accordingly.
+:func:`state_correspondence` computes the same relation for any
+deterministic quotient by a lockstep subset-simulation of the two
+automata.
 """
 
 from __future__ import annotations

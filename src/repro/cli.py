@@ -217,7 +217,8 @@ def cmd_propagate(args) -> int:
 
     partner_view = project_view(partner.afsa, old.process.party)
     classification = classify_against_partner(
-        old.afsa, new.afsa, partner_view, partner=partner_party
+        old.afsa, new.afsa, partner_view, partner=partner_party,
+        originator=old.process.party,
     )
     print(f"classification: {classification.describe()}")
     if not classification.requires_propagation:

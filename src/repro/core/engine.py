@@ -35,6 +35,7 @@ from repro.core.propagate import (
     propagate_subtractive,
 )
 from repro.core.suggestions import EditSuggestion, derive_suggestions
+from repro.core.sweep import grid_operands
 from repro.errors import PropagationError
 from repro.instances.migrate import MigrationReport
 
@@ -278,7 +279,8 @@ class EvolutionEngine:
         other_view = choreography.view(originator, on=other)
 
         classification = classify_against_partner(
-            old_public, new_public, other_view, partner=other
+            old_public, new_public, other_view, partner=other,
+            originator=originator,
         )
         impact = PartnerImpact(
             party=other,
@@ -337,9 +339,12 @@ class EvolutionEngine:
         adapted_compiled = compile_process(process)
         view = project_view(new_public, other)
         adapted_view = project_view(adapted_compiled.afsa, originator)
-        # Lazy pair-exploration verdict (ad 5); repeated re-checks of
-        # the same (view, adaptation) pair hit the verdict cache.
-        consistent = is_consistent(view, adapted_view)
+        # Lazy pair-exploration verdict (ad 5), asked in the sweep's
+        # operand order so repeated re-checks and the post-commit
+        # re-sweep hit the verdict cache.
+        consistent = is_consistent(
+            *grid_operands(originator, view, other, adapted_view)
+        )
         impact.adapted_private = process
         impact.consistent_after_adaptation = consistent
 

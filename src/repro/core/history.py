@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
-from repro.afsa.emptiness import is_empty
-from repro.afsa.product import intersect
+from repro.afsa.emptiness import is_consistent
 from repro.bpel.compile import CompiledProcess, compile_process
 from repro.bpel.model import ProcessModel
 from repro.core.changes import ChangeOperation
@@ -154,19 +153,21 @@ class ProcessHistory:
 
         This answers the migration question of Sect. 8: a partner that
         has not migrated yet can keep interacting with any version
-        consistent with its own public process.
+        consistent with its own public process.  Each check is the
+        lazy pair-exploration verdict; no intersection automaton is
+        built.
 
         Args:
             partner_view: the partner's (bilateral) public process.
             partner: the partner's party identifier — each version's
                 public process is projected onto that conversation
-                before intersecting (Sect. 3.4).
+                before checking (Sect. 3.4).
         """
         from repro.afsa.view import project_view
 
         for version in reversed(self._versions):
             bilateral = project_view(version.public, partner)
-            if not is_empty(intersect(bilateral, partner_view)):
+            if is_consistent(bilateral, partner_view):
                 return version.number
         return None
 

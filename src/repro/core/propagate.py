@@ -29,25 +29,37 @@ comparable to bi-simulation" the paper sketches:
 :func:`transition_deltas` walks ``B`` and ``B'`` in lockstep over common
 labels and records, per visited state pair, the labels present on one
 side only.
+
+Steps 1 and 2 chain kernel operators (difference, strip, prune,
+minimize, union) and materialize one ``AFSA`` per reported automaton;
+the opponent's bilateral restriction is memoized on its compiled
+process.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.afsa.annotations import (
-    strip_annotations,
-    weaken_unsupported_annotations,
+    k_strip_annotations,
+    k_weaken_unsupported_annotations,
 )
 from repro.afsa.automaton import AFSA, State
-from repro.afsa.difference import difference
 from repro.afsa.emptiness import is_consistent
-from repro.afsa.minimize import minimize
-from repro.afsa.prune import prune_dead_states
-from repro.afsa.union import union
-from repro.afsa.view import project_view, project_view_raw
+from repro.afsa.kernel import (
+    k_difference,
+    k_minimize,
+    k_minimize_with_members,
+    kernel_of,
+    materialize,
+)
+from repro.afsa.prune import k_prune_dead_states
+from repro.afsa.union import k_union
+from repro.afsa.view import k_project_raw, project_view
 from repro.bpel.compile import CompiledProcess
-from repro.bpel.mapping import MappingTable, state_correspondence
+from repro.bpel.mapping import MappingTable
+from repro.messages.alphabet import INTERNER
 from repro.messages.label import Label, label_involves, label_text
 
 #: Delta kinds recorded by :func:`transition_deltas`.
@@ -88,41 +100,38 @@ def transition_deltas(base: AFSA, proposed: AFSA) -> list[TransitionDelta]:
     Both automata should be deterministic (they are minimized by the
     propagation pipeline); traversal follows labels common to the pair,
     so each reported delta is anchored at a reachable, shared
-    conversation prefix.
+    conversation prefix.  The walk runs on the operand kernels.
     """
+    a = kernel_of(base)
+    b = kernel_of(proposed)
+    text_of = INTERNER.text
+    label_of = INTERNER.label
+    a_names, b_names = a.names, b.names
     deltas: list[TransitionDelta] = []
-    seen_pairs = {(base.start, proposed.start)}
-    seen_deltas: set[tuple[State, str, str]] = set()
-    queue = [(base.start, proposed.start)]
+    seen_pairs = {(a.start, b.start)}
+    seen_deltas: set[tuple[int, int, str]] = set()
+    queue = deque(seen_pairs)
     while queue:
-        base_state, proposed_state = queue.pop(0)
-        base_labels = base.labels_from(base_state)
-        proposed_labels = proposed.labels_from(proposed_state)
-        for label in sorted(proposed_labels - base_labels, key=label_text):
-            key = (base_state, label_text(label), ADDED)
-            if key not in seen_deltas:
-                seen_deltas.add(key)
-                deltas.append(
-                    TransitionDelta(
-                        base_state, label, ADDED,
-                        counterpart=proposed_state,
+        base_state, proposed_state = queue.popleft()
+        base_row = a.adj[base_state]
+        proposed_row = b.adj[proposed_state]
+        for lids, kind in (
+            (proposed_row.keys() - base_row.keys(), ADDED),
+            (base_row.keys() - proposed_row.keys(), REMOVED),
+        ):
+            for lid in sorted(lids, key=text_of):
+                key = (base_state, lid, kind)
+                if key not in seen_deltas:
+                    seen_deltas.add(key)
+                    deltas.append(
+                        TransitionDelta(
+                            a_names[base_state], label_of(lid), kind,
+                            counterpart=b_names[proposed_state],
+                        )
                     )
-                )
-        for label in sorted(base_labels - proposed_labels, key=label_text):
-            key = (base_state, label_text(label), REMOVED)
-            if key not in seen_deltas:
-                seen_deltas.add(key)
-                deltas.append(
-                    TransitionDelta(
-                        base_state, label, REMOVED,
-                        counterpart=proposed_state,
-                    )
-                )
-        for label in sorted(base_labels & proposed_labels, key=label_text):
-            for base_target in base.successors(base_state, label):
-                for proposed_target in proposed.successors(
-                    proposed_state, label
-                ):
+        for lid in sorted(base_row.keys() & proposed_row.keys(), key=text_of):
+            for base_target in base_row[lid]:
+                for proposed_target in proposed_row[lid]:
                     pair = (base_target, proposed_target)
                     if pair not in seen_pairs:
                         seen_pairs.add(pair)
@@ -187,8 +196,14 @@ def _bilateral_base(
     are representing the bilateral message exchanges only."  When the
     opponent's public process already is bilateral (the paper's buyer),
     it is returned unchanged — keeping the published state numbers of
-    Fig. 6 / Table 1.
+    Fig. 6 / Table 1.  Memoized per (compiled process, originator): a
+    compiled process is an immutable version, and its restriction is
+    asked once per propagation direction and evolution step.
     """
+    memo = opponent.bilateral_memo
+    cached = memo.get(originator_party)
+    if cached is not None:
+        return cached
     public = opponent.afsa
     foreign = [
         label
@@ -196,12 +211,21 @@ def _bilateral_base(
         if not label_involves(label, originator_party)
     ]
     if not foreign:
-        return public, opponent.mapping
-    relabeled = project_view_raw(public, originator_party)
-    view = minimize(relabeled).with_name(relabeled.name)
-    correspondence = state_correspondence(relabeled, view)
-    mapping = opponent.mapping.composed_with(correspondence)
-    return view, mapping
+        result = (public, opponent.mapping)
+    else:
+        relabeled = k_project_raw(kernel_of(public), originator_party)
+        minimized, members = k_minimize_with_members(relabeled)
+        view = materialize(
+            minimized, name=f"τ_{originator_party}({public.name or 'A'})"
+        )
+        names = relabeled.names
+        correspondence = {
+            minimized.names[position]: {names[state] for state in states}
+            for position, states in enumerate(members)
+        }
+        result = (view, opponent.mapping.composed_with(correspondence))
+    memo[originator_party] = result
+    return result
 
 
 def _originator_party(view: AFSA, opponent_party: str) -> str:
@@ -239,16 +263,18 @@ def propagate_additive(
     # requirements imposed *on* the opponent, not declared by it; the
     # diagnostic drops them, and the sink branches that completion
     # introduced are pruned (see repro.afsa.annotations / .prune).
-    added = minimize(
-        prune_dead_states(
-            strip_annotations(difference(view, current_public))
+    base = kernel_of(current_public)
+    added = k_minimize(
+        k_prune_dead_states(
+            k_strip_annotations(k_difference(kernel_of(view), base))
         )
-    ).with_name("A'' (added sequences)")
+    )
 
     # Step 2: the proposal B' = A'' ∪ B.
-    proposal = minimize(union(added, current_public)).with_name(
-        f"{current_public.name}'"
+    proposal = materialize(
+        k_minimize(k_union(added, base)), name=f"{current_public.name}'"
     )
+    added = materialize(added, name="A'' (added sequences)")
 
     # Step 3 precursor: where does B' differ from B?
     deltas = [
@@ -291,17 +317,22 @@ def propagate_subtractive(
     current_public, mapping = _bilateral_base(opponent, originator_party)
 
     # Step 1: the removed sequences (B \ τ_P(A'); DESIGN.md deviation #2).
-    removed = minimize(
-        prune_dead_states(
-            strip_annotations(difference(current_public, view))
+    base = kernel_of(current_public)
+    removed = k_minimize(
+        k_prune_dead_states(
+            k_strip_annotations(k_difference(base, kernel_of(view)))
         )
-    ).with_name("A'' (removed sequences)")
+    )
 
     # Step 2: B' = B \ A''.  B's own annotations survive, but conjuncts
     # whose transitions were subtracted away are weakened (Fig. 17b).
-    proposal = weaken_unsupported_annotations(
-        minimize(prune_dead_states(difference(current_public, removed)))
-    ).with_name(f"{current_public.name}'")
+    proposal = materialize(
+        k_weaken_unsupported_annotations(
+            k_minimize(k_prune_dead_states(k_difference(base, removed)))
+        ),
+        name=f"{current_public.name}'",
+    )
+    removed = materialize(removed, name="A'' (removed sequences)")
 
     deltas = [
         delta

@@ -786,6 +786,18 @@ def conversing_pairs(choreography) -> list[tuple[str, str]]:
     ]
 
 
+def grid_operands(party: str, operand, partner: str, partner_operand):
+    """Order the operands of one bilateral check of *party*'s and
+    *partner*'s processes the way :func:`sweep_choreography` asks for
+    them by default: the party that sorts first is the grid's ``left``
+    (:func:`conversing_pairs`) and its process comes first.  A verdict
+    asked in this order is the :data:`~repro.afsa.lazy.VERDICTS` entry
+    the next sweep looks up."""
+    if partner < party:
+        return partner_operand, operand
+    return operand, partner_operand
+
+
 def _report_from_stats(
     outcomes: list, workers: int | None, stats: dict
 ) -> SweepReport:

@@ -5,7 +5,9 @@ symbolic operator must agree with plain set algebra on enumerated
 word sets.
 """
 
-from hypothesis import given, settings, strategies as st
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.afsa.determinize import determinize, is_deterministic
 from repro.afsa.difference import difference
@@ -16,6 +18,8 @@ from repro.afsa.minimize import minimize
 from repro.afsa.product import intersect
 from repro.afsa.prune import prune_dead_states
 from repro.afsa.union import union, union_de_morgan
+from repro.formula.evaluate import evaluate
+from repro.formula.transform import variables
 from repro.workload.generator import random_afsa
 
 _SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -53,16 +57,40 @@ def test_minimize_preserves_annotated_emptiness_of_dfa(seed, size):
     assert is_empty(minimize(dfa)) == is_empty(dfa)
 
 
+@example(seed=1061, size=5)
 @given(_SEEDS, _SIZES)
 @settings(max_examples=40, deadline=None)
 def test_determinize_annotated_semantics_sound(seed, size):
-    """Determinization conjoins macro-state annotations, which may
-    *strengthen* requirements (process-internal-choice semantics) but
-    never weaken them: a non-empty determinized automaton implies a
-    non-empty original."""
+    """What determinization guarantees about annotations.
+
+    Every macro state's annotation entails the annotation of each
+    member (requirements are conjoined, never dropped), and a non-empty
+    determinized automaton implies a classically non-empty original.
+    The *annotated* verdict is not monotone in either direction: a
+    macro state pools its members' transitions, so one member's
+    requirement can be met by another member's edge.  ``seed=1061``
+    pins that case — the original is empty (q4 needs ``op2`` but its
+    ``op2`` edge ends in a dead state), the determinized automaton is
+    not (inside {q2, q3, q4}, q3's ``op2`` edge meets the requirement).
+    DESIGN.md records the deviation.
+    """
     automaton = random_afsa(seed=seed, states=size)
-    if not is_empty(determinize(automaton)):
-        assert not is_empty(automaton)
+    dfa = determinize(automaton)
+    base = remove_epsilon(automaton)
+    for macro in dfa.states:
+        members = macro if isinstance(macro, frozenset) else {macro}
+        macro_formula = dfa.annotation(macro)
+        for member in members:
+            member_formula = base.annotation(member)
+            names = sorted(
+                variables(macro_formula) | variables(member_formula)
+            )
+            for bits in itertools.product((False, True), repeat=len(names)):
+                true = {name for name, bit in zip(names, bits) if bit}
+                if evaluate(macro_formula, true):
+                    assert evaluate(member_formula, true)
+    if not is_empty(dfa):
+        assert not is_empty(automaton, annotated=False)
 
 
 @given(_SEEDS, _SIZES)

@@ -1,14 +1,15 @@
 """Rendezvous (HRW) routing of content-addressed work onto shards.
 
-The runtime's original chunk→shard affinity was *positional*: chunk
-``k`` of a dispatch always went to shard ``k``, so worker-local caches
-(kernel memos, replay tries, :data:`~repro.afsa.lazy.VERDICTS` entries,
-retained explorations) only paid off when a grid repeated *identically*.
-Any overlapping-but-shifted grid — the common case as a choreography
-evolves, where one pair is inserted and every other pair keeps its
-content but changes its position — re-routed warm pairs to cold shards.
+Worker-local caches (kernel memos, replay tries,
+:data:`~repro.afsa.lazy.VERDICTS` entries, retained explorations) only
+pay off when a repeated item lands where it ran before.  Placing chunks
+by their position in the dispatch would tie that to the grid repeating
+*identically*; any overlapping-but-shifted grid — the common case as a
+choreography evolves, where one pair is inserted and every other pair
+keeps its content but changes its position — would land warm pairs on
+cold shards.
 
-Rendezvous hashing makes the affinity a property of *content* instead:
+Rendezvous hashing makes the affinity a property of *content*:
 every key (a pair's concatenated kernel digests) independently ranks
 all shards by ``blake2b(key | shard)`` and goes to its top-ranked
 candidate.  The ranking is a pure function of the key and the shard

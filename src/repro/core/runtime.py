@@ -32,10 +32,9 @@ entire evolution session:
   so a repeated *or evolved* grid keeps landing every pair on the shard
   that already holds its kernels, replay tries and
   :data:`~repro.afsa.lazy.VERDICTS` entries.  A hot-shard spill policy
-  overflows past the load cap to the next rendezvous candidate.  The
-  legacy positional affinity (chunk ``k`` → shard ``k``) survives as
-  ``routing="positional"`` for the regression tests and the scaling
-  bench's baseline.
+  overflows past the load cap to the next rendezvous candidate.  Every
+  fan-out — consistency sweeps and fleet migration alike — goes through
+  one pipelined scheduler (:meth:`EvolutionRuntime.map_streaming`).
 * **pluggable transport** — shards are either local single-process
   ``multiprocessing`` pools (the default) or remote workers reached
   over the length-prefixed TCP protocol of
@@ -61,6 +60,7 @@ no "leaked shared_memory objects" warnings on clean shutdown.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import queue
 import threading
@@ -388,21 +388,10 @@ def leaked_segments(before: set[str]) -> set[str]:
     return shm_segments() - before - owned
 
 
-#: Routing modes: content-hash rendezvous (the default) or the legacy
-#: positional chunk k → shard k affinity.
-ROUTING_DIGEST = "digest"
-ROUTING_POSITIONAL = "positional"
-
 #: Transports: local forked single-process pools, or remote workers
 #: over the length-prefixed TCP protocol of :mod:`repro.core.transport`.
 TRANSPORT_MP = "mp"
 TRANSPORT_TCP = "tcp"
-
-#: Grid schedulers: the pipelined micro-chunk scheduler (the default)
-#: or the legacy one-chunk-per-shard barrier (the bench baseline).
-#: ``REPRO_SWEEP_PIPELINE=0`` / ``=1`` overrides per process.
-SCHEDULER_PIPELINE = "pipeline"
-SCHEDULER_BARRIER = "barrier"
 
 #: Cap on the auto-sized shard fleet: dispatches that never name a
 #: worker count get ``min(os.cpu_count(), _MAX_AUTO_SHARDS)`` shards.
@@ -413,6 +402,13 @@ CHUNK_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 #: EWMA smoothing for observed chunk/pair latencies.
 _EWMA_ALPHA = 0.25
+
+#: Expected-runtime bounds for one micro-chunk (seconds): chunks are
+#: shrunk toward the ceiling so they pipeline and can be stolen, and
+#: never cut below the floor, where dispatch overhead would outweigh
+#: the pipelining.
+_MAX_CHUNK_SECONDS = 0.025
+_MIN_CHUNK_SECONDS = 0.010
 
 #: Completion-queue poll interval: bounds how stale a straggler check
 #: can be while the scheduler waits for the next completion.
@@ -425,6 +421,74 @@ def default_worker_count() -> int:
     the chunk count (a 2-chunk dispatch on a 16-core box should still
     leave the fleet sized for the grids that follow it)."""
     return max(1, min(os.cpu_count() or 1, _MAX_AUTO_SHARDS))
+
+
+def _injected_fault_delay(item_count: int) -> None:
+    """Test-only straggler injection, a no-op in production.
+
+    ``REPRO_SWEEP_FAULT`` holds ``slot:seconds_per_item`` entries
+    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — stamped
+    into the environment by :meth:`EvolutionRuntime.ensure_pool` as it
+    forks each shard — matches a slot sleeps ``seconds_per_item ×
+    items`` before running its chunk.  Sweep and migration workers
+    both call it first thing.  Proportional-to-chunk delay is what
+    makes a straggler measurable: without micro-chunks, stealing and
+    speculation a dispatch would eat the slow shard's whole share.
+    """
+    spec = os.environ.get("REPRO_SWEEP_FAULT")
+    if not spec:
+        return
+    slot = os.environ.get("REPRO_SHARD_SLOT", "")
+    for part in spec.split(","):
+        shard, _, per_item = part.partition(":")
+        if shard == slot and per_item:
+            time.sleep(float(per_item) * max(1, item_count))
+
+
+def _ewma(previous: float | None, sample: float) -> float:
+    if previous is None:
+        return sample
+    return previous + _EWMA_ALPHA * (sample - previous)
+
+
+class _Latency:
+    """Observed latencies (seconds) of one worker function.
+
+    Kept per function because a dispatch's work items differ by orders
+    of magnitude between consumers — a sweep pair costs milliseconds, a
+    migration trace a fraction of one — and one consumer's latency must
+    never size another's chunks.  ``item`` and ``shard_item`` are run
+    times per item — queueing behind earlier chunks on the same shard
+    excluded — fleet-wide over winning attempts and per shard over
+    every completed attempt (losing duplicates included, which is how a
+    straggler's slowness gets observed at all when backups keep
+    winning); they size chunks and keep stealing and speculation from
+    moving work onto a slower shard.  ``chunk`` is the full latency of
+    a winning attempt, dispatch to answer, and sets the straggler
+    threshold that attempt ages are compared against.
+    """
+
+    __slots__ = ("item", "chunk", "shard_item")
+
+    def __init__(self):
+        self.item: float | None = None
+        self.chunk: float | None = None
+        self.shard_item: dict = {}
+
+    def observe_chunk(
+        self, seconds: float, run_seconds: float, items: int
+    ) -> None:
+        """Fold one chunk's winning attempt into the fleet EWMAs."""
+        self.item = _ewma(self.item, run_seconds / max(1, items))
+        self.chunk = _ewma(self.chunk, seconds)
+
+    def observe_attempt(
+        self, shard: int, run_seconds: float, items: int
+    ) -> None:
+        """Fold one completed attempt into *shard*'s per-item EWMA."""
+        self.shard_item[shard] = _ewma(
+            self.shard_item.get(shard), run_seconds / max(1, items)
+        )
 
 
 class _Chunk:
@@ -454,13 +518,11 @@ class EvolutionRuntime:
     """Shared fan-out runtime: one arena, one long-lived worker fleet.
 
     Workers are *sharded*: each is its own single-process pool (or one
-    remote TCP worker), and with the default ``routing="digest"`` every
-    chunk reaches the shard that rendezvous hashing assigns its content
-    digests — so worker-local caches pay off for repeated *and evolved*
-    grids alike, because the mapping depends on what a pair *is*, not
-    where it sits in the dispatch.  ``routing="positional"`` keeps the
-    legacy call-order affinity (payload ``i`` → shard ``i mod shards``)
-    for regression baselines.  The fleet is started lazily at the first
+    remote TCP worker), and every chunk reaches the shard that
+    rendezvous hashing assigns its content digests — so worker-local
+    caches pay off for repeated *and evolved* grids alike, because the
+    mapping depends on what a pair *is*, not where it sits in the
+    dispatch.  The fleet is started lazily at the first
     dispatch and *grows on demand* without recycling the existing
     shards (their caches stay warm); :meth:`restart_pool` recycles all
     of them — the cold-restart case the invariance suite pins down.
@@ -472,31 +534,23 @@ class EvolutionRuntime:
         self,
         workers: int = 0,
         arena_maxsize: int = 256,
-        routing: str = ROUTING_DIGEST,
         spill_factor: float = 2.0,
         transport: str = TRANSPORT_MP,
         shards: list[str] | None = None,
-        scheduler: str = SCHEDULER_PIPELINE,
         window: int = 2,
         chunks_per_shard: int = 6,
         speculate: bool = True,
         speculate_multiple: float = 4.0,
         speculate_floor_s: float = 0.05,
     ):
-        if routing not in (ROUTING_DIGEST, ROUTING_POSITIONAL):
-            raise ValueError(f"unknown routing mode: {routing!r}")
         if transport not in (TRANSPORT_MP, TRANSPORT_TCP):
             raise ValueError(f"unknown transport: {transport!r}")
         if transport == TRANSPORT_TCP and not shards:
             raise ValueError("tcp transport needs shard addresses")
-        if scheduler not in (SCHEDULER_PIPELINE, SCHEDULER_BARRIER):
-            raise ValueError(f"unknown scheduler: {scheduler!r}")
         self.workers = workers
-        self.routing = routing
         self.spill_factor = spill_factor
         self.transport = transport
         self.shard_addresses = list(shards or [])
-        self.scheduler = scheduler
         self.window = max(1, window)
         self.chunks_per_shard = max(1, chunks_per_shard)
         self.speculate = speculate
@@ -521,17 +575,10 @@ class EvolutionRuntime:
         self.chunk_size_hist = {bound: 0 for bound in CHUNK_BUCKETS}
         self.chunk_size_hist["inf"] = 0
         self.chunk_pairs_total = 0
-        #: Fleet-wide latency EWMAs (seconds), fed by every completed
-        #: chunk: per-pair drives adaptive chunk sizing, per-chunk the
-        #: straggler threshold.
-        self.pair_latency_ewma: float | None = None
-        self.chunk_latency_ewma: float | None = None
-        #: Per-shard per-pair latency EWMA (seconds), fed by every
-        #: completed attempt — losing duplicates included, which is
-        #: how a straggler's slowness gets observed at all when
-        #: backups keep winning.  Cleared with the pool: the next
+        #: Worker function -> its :class:`_Latency` EWMAs.  The
+        #: per-shard halves are cleared with the pool: the next
         #: fleet's processes are new.
-        self.shard_pair_ewma: dict = {}
+        self.latency: dict = {}
         self._closed = False
         _RUNTIMES.add(self)
 
@@ -607,7 +654,8 @@ class EvolutionRuntime:
         for shard in self._shards:
             shard.join()
         self._shards = []
-        self.shard_pair_ewma.clear()
+        for latency in self.latency.values():
+            latency.shard_item.clear()
 
     def _count_fetch(self, nbytes: int) -> None:
         """Transport callback: one fetch-on-miss served, *nbytes* of
@@ -630,128 +678,47 @@ class EvolutionRuntime:
             return (digest, None)
         return (digest, self.arena.locator(digest))
 
-    def map(
-        self, func, payloads, workers: int | None = None, shard_of=None
-    ) -> list:
-        """Run ``func`` over *payloads* on the persistent shards.
+    def map(self, func, payloads, shard_of) -> list:
+        """Run ``func`` once per payload on explicitly placed shards.
 
-        ``shard_of`` (a list aligned with *payloads*) carries the
-        router's explicit placement; without it payload ``i`` goes to
-        shard ``i mod shards``.  Results come back in payload order, so
-        verdicts are independent of worker count and of how often the
-        fleet was restarted in between.  Without an explicit worker
-        count the fleet is sized by :func:`default_worker_count`, not
-        by ``len(payloads)``.
+        ``shard_of`` (a list aligned with *payloads*) names the shard
+        each payload runs on — the per-shard probe behind snapshots of
+        worker-local state.  Results come back in payload order.  Work
+        that should be *routed* goes through :meth:`map_streaming` or
+        :meth:`map_chunked` instead.
         """
         payloads = list(payloads)
         if not payloads:
             return []
-        self.ensure_pool(workers or 0)
+        self.ensure_pool(max(shard_of) + 1)
         self.dispatches += 1
         self.tasks += len(payloads)
-        shards = self._shards
-        if shard_of is None:
-            shard_of = [
-                index % len(shards) for index in range(len(payloads))
-            ]
         pending = [
-            shards[shard].apply_async(func, (payload,))
+            self._shards[shard].apply_async(func, (payload,))
             for shard, payload in zip(shard_of, payloads)
         ]
         return [result.get() for result in pending]
 
     def map_chunked(
-        self, func, items, payload_of, workers: int, key_of=None
-    ):
-        """Fan *items* out in routed chunks and reassemble.
+        self, func, items, payload_of, workers: int, key_of
+    ) -> list:
+        """:meth:`map_streaming`, gathered back into input order.
 
-        With ``key_of`` given and digest routing active, every item is
-        assigned by rendezvous hashing on ``key_of(item)`` (with hot-
-        shard spill, :func:`repro.core.routing.route`) and the chunks
-        dispatch to *exactly* their assigned shards.  Without a key
-        function — or under ``routing="positional"`` — chunk ``k`` is
-        ``items[k::pool_size]`` and dispatches to shard ``k``, the
-        legacy call-order affinity.  ``payload_of(chunk)`` builds each
-        worker payload; *func* must return ``(chunk_results, extra)``
-        with ``chunk_results`` aligned to its chunk.  Returns
-        ``(results, extras, routing_info)`` with *results* in input
-        order for every worker count, routing mode and transport —
-        the chunking and its inverse live only here, so the in-order
-        determinism guarantee and the shard-affinity contract cannot
-        drift apart between consumers.
+        Returns the chunk results aligned with *items* — the same for
+        every worker count and transport — and drops the per-chunk
+        extras.  For consumers that need the whole answer before
+        acting on any of it (fleet migration).
         """
         items = list(items)
-        if not items:
-            return [], [], {"mode": self.routing, "loads": [], "spilled": 0}
-        if self.transport == TRANSPORT_TCP:
-            self.ensure_pool(0)
-            pool_size = len(self._shards)
-        else:
-            pool_size = min(workers, len(items))
         results: list = [None] * len(items)
-        extras: list = []
-        if key_of is None or self.routing == ROUTING_POSITIONAL:
-            chunks = [items[k::pool_size] for k in range(pool_size)]
-            raw = self.map(
-                func,
-                [payload_of(chunk) for chunk in chunks],
-                workers=pool_size,
-            )
-            for k, (chunk_results, extra) in enumerate(raw):
-                extras.append(extra)
-                for offset, result in enumerate(chunk_results):
-                    results[offset * pool_size + k] = result
-            self.routed_tasks += len(items)
-            return results, extras, {
-                "mode": ROUTING_POSITIONAL,
-                "loads": [len(chunk) for chunk in chunks],
-                "spilled": 0,
-            }
-        self.ensure_pool(pool_size)
-        pool_size = len(self._shards)
-        assignments, spilled = route(
-            [key_of(item) for item in items], pool_size, self.spill_factor
-        )
-        by_shard: OrderedDict = OrderedDict()
-        for index, shard in enumerate(assignments):
-            by_shard.setdefault(shard, []).append(index)
-        targets = sorted(by_shard)
-        raw = self.map(
-            func,
-            [
-                payload_of([items[index] for index in by_shard[shard]])
-                for shard in targets
-            ],
-            workers=pool_size,
-            shard_of=targets,
-        )
-        loads = [0] * pool_size
-        for shard, (chunk_results, extra) in zip(targets, raw):
-            extras.append(extra)
-            loads[shard] = len(by_shard[shard])
-            for index, result in zip(by_shard[shard], chunk_results):
+        for indices, chunk_results, _ in self.map_streaming(
+            func, items, payload_of, workers, key_of
+        ):
+            for index, result in zip(indices, chunk_results):
                 results[index] = result
-        self.routed_tasks += len(items)
-        self.routing_spilled += spilled
-        return results, extras, {
-            "mode": ROUTING_DIGEST,
-            "loads": loads,
-            "spilled": spilled,
-        }
+        return results
 
     # -- pipelined scheduler -----------------------------------------------
-
-    def scheduler_mode(self) -> str:
-        """The effective grid scheduler: the configured one, unless the
-        ``REPRO_SWEEP_PIPELINE`` environment variable forces pipeline
-        (``1``) or barrier (``0``) for this process — how CI re-runs
-        the invariance suite under each scheduler without new flags."""
-        forced = os.environ.get("REPRO_SWEEP_PIPELINE")
-        if forced is not None and forced != "":
-            if forced in ("0", "off", "barrier"):
-                return SCHEDULER_BARRIER
-            return SCHEDULER_PIPELINE
-        return self.scheduler
 
     def _speculation_policy(self) -> tuple[bool, float, float]:
         """``(enabled, multiple, floor_seconds)`` after applying the
@@ -772,18 +739,25 @@ class EvolutionRuntime:
                 pass
         return self.speculate, self.speculate_multiple, self.speculate_floor_s
 
-    def _chunk_size_for(self, n_items: int, pool_size: int) -> int:
-        """Adaptive micro-chunk size: start from the configured
-        chunks-per-shard target (chunks ≈ 4–8× shards) and shrink
-        toward a ~25 ms chunk whenever the fleet's per-pair latency
-        EWMA says the target chunks would run long — small enough to
-        pipeline and steal, big enough to amortize dispatch."""
-        target = -(-n_items // (pool_size * self.chunks_per_shard))
-        size = max(1, target)
-        ewma = self.pair_latency_ewma
-        if ewma is not None and ewma > 0:
-            adaptive = max(1, int(0.025 / ewma))
-            size = max(1, min(size, adaptive))
+    def _chunk_size_for(
+        self, per_item: float | None, n_items: int, pool_size: int,
+        load: int,
+    ) -> int:
+        """Adaptive micro-chunk size for one shard's *load* items:
+        start from the configured chunks-per-shard target (chunks ≈
+        4–8× shards), shrink toward a :data:`_MAX_CHUNK_SECONDS` chunk
+        whenever the shard's observed *per_item* latency says the
+        target chunks would run long — small enough to pipeline and
+        steal — and never cut a chunk expected to run under
+        :data:`_MIN_CHUNK_SECONDS` on that shard, short of one chunk
+        for its whole load.  Cheap work therefore converges to one
+        chunk per shard, while a straggler's share stays finely cut
+        for the healthy shards to steal and speculate on."""
+        size = max(1, -(-n_items // (pool_size * self.chunks_per_shard)))
+        if per_item:
+            size = min(size, max(1, int(_MAX_CHUNK_SECONDS / per_item)))
+            floor = math.ceil(_MIN_CHUNK_SECONDS / per_item)
+            size = max(size, min(floor, load))
         return size
 
     def _record_chunk_size(self, size: int) -> None:
@@ -794,55 +768,30 @@ class EvolutionRuntime:
                 return
         self.chunk_size_hist["inf"] += 1
 
-    def _observe_shard_latency(
-        self, shard: int, seconds: float, pairs: int
-    ) -> None:
-        """Fold one completed *attempt* into *shard*'s per-pair EWMA —
-        the relative-speed signal that keeps stealing and speculation
-        from ever moving work onto a slower shard."""
-        per_pair = seconds / max(1, pairs)
-        previous = self.shard_pair_ewma.get(shard)
-        if previous is None:
-            self.shard_pair_ewma[shard] = per_pair
-        else:
-            self.shard_pair_ewma[shard] = previous + _EWMA_ALPHA * (
-                per_pair - previous
-            )
-
-    def _observe_latency(self, seconds: float, pairs: int) -> None:
-        """Fold one completed chunk into the fleet latency EWMAs."""
-        per_pair = seconds / max(1, pairs)
-        if self.pair_latency_ewma is None:
-            self.pair_latency_ewma = per_pair
-        else:
-            self.pair_latency_ewma += _EWMA_ALPHA * (
-                per_pair - self.pair_latency_ewma
-            )
-        if self.chunk_latency_ewma is None:
-            self.chunk_latency_ewma = seconds
-        else:
-            self.chunk_latency_ewma += _EWMA_ALPHA * (
-                seconds - self.chunk_latency_ewma
-            )
-
     def map_streaming(
-        self, func, items, payload_of, workers: int, key_of=None,
+        self, func, items, payload_of, workers: int, key_of,
         info: dict | None = None,
     ):
         """Pipelined fan-out: yield chunk results in completion order.
 
-        The streaming counterpart of :meth:`map_chunked` and the heart
-        of the pipelined scheduler.  *items* are split into many
-        rendezvous-routed micro-chunks (:meth:`_chunk_size_for`), each
-        shard holds a bounded window of in-flight chunks, and completed
-        chunks are yielded as ``(indices, chunk_results, extra)``
-        tuples **as they arrive** — the consumer folds verdicts (and
-        the service emits NDJSON lines) without waiting for a barrier.
+        The runtime's one scheduler.  Every item is placed by
+        rendezvous hashing on ``key_of(item)`` (with hot-shard spill,
+        :func:`repro.core.routing.route`); each shard's items are split
+        into micro-chunks (:meth:`_chunk_size_for`), each shard holds a
+        bounded window of in-flight chunks, and completed chunks are
+        yielded as ``(indices, chunk_results, extra)`` tuples **as they
+        arrive** — the consumer folds verdicts (and the service emits
+        NDJSON lines) without waiting for the whole dispatch.
         Verdicts stay a pure function of the grid because every yield
         carries its input indices and pair identity is the content
         digest (ARCHITECTURE.md contract 9).
 
-        Straggler mitigation, both forms keyed on the fleet EWMAs:
+        ``payload_of(chunk)`` builds each worker payload; *func* must
+        return ``(chunk_results, extra)`` with ``chunk_results`` aligned
+        to its chunk.
+
+        Straggler mitigation, both forms keyed on *func*'s latency
+        EWMAs:
 
         * **speculation** — an in-flight chunk older than
           ``multiple × chunk-EWMA + floor`` is re-dispatched to its
@@ -859,16 +808,18 @@ class EvolutionRuntime:
         outstanding attempt before returning, so no in-flight state —
         pool tasks, TCP frames, arena pins — outlives the dispatch.
         *info*, when given, is filled with routing placement and the
-        dispatch-local scheduler counters.
+        dispatch-local scheduler counters, under the key names of the
+        sweep report's counters.
         """
         items = list(items)
         if info is None:
             info = {}
         info.update({
-            "mode": self.routing, "loads": [], "spilled": 0,
-            "scheduler": SCHEDULER_PIPELINE, "chunks": 0,
-            "chunk_size": 0, "speculated": 0, "spec_wins": 0,
-            "stolen": 0, "cancelled": 0, "inflight_high_water": 0,
+            "routing_mode": "digest", "shard_loads": [],
+            "routing_spilled": 0, "scheduler": "pipeline", "chunks": 0,
+            "speculative_dispatches": 0, "speculative_wins": 0,
+            "stolen_chunks": 0, "cancelled_chunks": 0,
+            "inflight_high_water": 0,
         })
         if not items:
             return
@@ -881,46 +832,33 @@ class EvolutionRuntime:
         self.tasks += len(items)
         self.routed_tasks += len(items)
 
-        if key_of is None or self.routing == ROUTING_POSITIONAL:
-            keys = None
-            assignments = [index % pool_size for index in range(len(items))]
-            spilled = 0
-            info["mode"] = ROUTING_POSITIONAL
-        else:
-            keys = [key_of(item) for item in items]
-            assignments, spilled = route(
-                keys, pool_size, self.spill_factor
-            )
-            info["mode"] = ROUTING_DIGEST
+        keys = [key_of(item) for item in items]
+        assignments, spilled = route(keys, pool_size, self.spill_factor)
         self.routing_spilled += spilled
         loads = [0] * pool_size
         per_shard: OrderedDict = OrderedDict()
         for index, shard in enumerate(assignments):
             loads[shard] += 1
             per_shard.setdefault(shard, []).append(index)
-        info["loads"] = loads
-        info["spilled"] = spilled
+        info["shard_loads"] = loads
+        info["routing_spilled"] = spilled
 
-        chunk_size = self._chunk_size_for(len(items), pool_size)
-        info["chunk_size"] = chunk_size
+        latency = self.latency.setdefault(func, _Latency())
         queued: dict = {shard: deque() for shard in range(pool_size)}
         total_chunks = 0
         for shard in sorted(per_shard):
             indices = per_shard[shard]
+            chunk_size = self._chunk_size_for(
+                latency.shard_item.get(shard, latency.item),
+                len(items), pool_size, len(indices),
+            )
             for start in range(0, len(indices), chunk_size):
                 part = indices[start:start + chunk_size]
-                if keys is not None:
-                    candidates = rendezvous_rank(keys[part[0]], pool_size)
-                else:
-                    candidates = [
-                        (shard + step) % pool_size
-                        for step in range(pool_size)
-                    ]
                 chunk = _Chunk(
                     indices=part,
                     payload=payload_of([items[index] for index in part]),
                     shard=shard,
-                    candidates=candidates,
+                    candidates=rendezvous_rank(keys[part[0]], pool_size),
                 )
                 queued[shard].append(chunk)
                 self._record_chunk_size(len(part))
@@ -934,6 +872,10 @@ class EvolutionRuntime:
         # a backup already won the chunk — so a straggler grinding a
         # lost original still reads as straggling.
         shard_busy: list = [dict() for _ in range(pool_size)]
+        # When each shard last answered: a shard runs its queue in
+        # order, so an attempt's own run time starts at the later of
+        # its dispatch and the previous answer from its shard.
+        shard_free = [0.0] * pool_size
         outstanding = 0
         active: dict = {}
         high_water = 0
@@ -965,7 +907,7 @@ class EvolutionRuntime:
             )
 
         def straggler_threshold() -> float:
-            return multiple * (self.chunk_latency_ewma or 0.0) + floor_s
+            return multiple * (latency.chunk or 0.0) + floor_s
 
         def oldest_inflight_age(shard: int, now: float) -> float:
             """Age of *shard*'s oldest unanswered attempt (0.0 when
@@ -987,8 +929,8 @@ class EvolutionRuntime:
             """True when *candidate* is observed slower per pair than
             *reference* — unknown shards (no completed attempt yet)
             are never called slower."""
-            cand = self.shard_pair_ewma.get(candidate)
-            ref = self.shard_pair_ewma.get(reference)
+            cand = latency.shard_item.get(candidate)
+            ref = latency.shard_item.get(reference)
             return cand is not None and ref is not None and cand > ref
 
         def steal_for(thief: int, now: float):
@@ -1010,7 +952,7 @@ class EvolutionRuntime:
             if victim is None:
                 return None
             self.stolen_chunks += 1
-            info["stolen"] += 1
+            info["stolen_chunks"] += 1
             return queued[victim].pop()
 
         def top_up() -> None:
@@ -1056,25 +998,33 @@ class EvolutionRuntime:
                 if target is None:
                     continue
                 self.speculative_dispatches += 1
-                info["speculated"] += 1
+                info["speculative_dispatches"] += 1
                 dispatch(chunk, target)
 
-        def settle(event) -> _Chunk | None:
-            """Account one completion event; returns the chunk when it
-            is this chunk's *first* (winning) result."""
+        def release(event) -> float:
+            """Account one answered attempt — winner, late duplicate or
+            failure; returns its run time on its shard."""
             nonlocal outstanding
-            chunk, shard, attempt, value, error = event
+            chunk, shard, attempt, _, error = event
+            now = time.monotonic()
+            began = max(chunk.attempts[attempt][1], shard_free[shard])
+            shard_free[shard] = now
             shard_inflight[shard] -= 1
             shard_busy[shard].pop((id(chunk), attempt), None)
             outstanding -= 1
             self.inflight -= 1
             chunk.outstanding -= 1
             if error is None:
-                self._observe_shard_latency(
-                    shard,
-                    time.monotonic() - chunk.attempts[attempt][1],
-                    len(chunk.indices),
+                latency.observe_attempt(
+                    shard, now - began, len(chunk.indices)
                 )
+            return now - began
+
+        def settle(event) -> _Chunk | None:
+            """Account one completion event; returns the chunk when it
+            is this chunk's *first* (winning) result."""
+            chunk, shard, attempt, value, error = event
+            run_seconds = release(event)
             if chunk.done:
                 return None
             if error is not None:
@@ -1086,13 +1036,14 @@ class EvolutionRuntime:
                 raise error
             chunk.done = True
             active.pop(id(chunk), None)
-            started = chunk.attempts[attempt][1]
-            self._observe_latency(
-                time.monotonic() - started, len(chunk.indices)
+            latency.observe_chunk(
+                time.monotonic() - chunk.attempts[attempt][1],
+                run_seconds,
+                len(chunk.indices),
             )
             if attempt > 0:
                 self.speculative_wins += 1
-                info["spec_wins"] += 1
+                info["speculative_wins"] += 1
             chunk.result = value
             return chunk
 
@@ -1119,7 +1070,7 @@ class EvolutionRuntime:
                 1 for chunk in active.values() if not chunk.done
             )
             self.cancelled_chunks += cancelled
-            info["cancelled"] += cancelled
+            info["cancelled_chunks"] += cancelled
             raise
         finally:
             info["inflight_high_water"] = high_water
@@ -1132,18 +1083,7 @@ class EvolutionRuntime:
                     event = completions.get(timeout=60)
                 except queue.Empty:  # pragma: no cover - hung worker
                     break
-                chunk, shard, attempt, _, error = event
-                shard_inflight[shard] -= 1
-                shard_busy[shard].pop((id(chunk), attempt), None)
-                outstanding -= 1
-                self.inflight -= 1
-                chunk.outstanding -= 1
-                if error is None:
-                    self._observe_shard_latency(
-                        shard,
-                        time.monotonic() - chunk.attempts[attempt][1],
-                        len(chunk.indices),
-                    )
+                release(event)
 
     def stats(self) -> dict:
         """Running counters (arena + pool + routing) as one flat dict."""
@@ -1158,12 +1098,10 @@ class EvolutionRuntime:
             "dispatches": self.dispatches,
             "tasks": self.tasks,
             "transport": self.transport,
-            "routing": self.routing,
             "routed_tasks": self.routed_tasks,
             "routing_spilled": self.routing_spilled,
             "payload_fetches": self.payload_fetches,
             "payload_fetch_bytes": self.payload_fetch_bytes,
-            "scheduler": self.scheduler_mode(),
             "chunks_dispatched": self.chunks_dispatched,
             "speculative_dispatches": self.speculative_dispatches,
             "speculative_wins": self.speculative_wins,
@@ -1188,12 +1126,12 @@ class EvolutionRuntime:
             f"({stats['published_bytes']} bytes), "
             f"{stats['arena_hits']} hit(s), "
             f"{stats['arena_dedup_hits']} dedup hit(s); "
-            f"routing ({stats['routing']}/{stats['transport']}): "
+            f"routing (digest/{stats['transport']}): "
             f"{stats['routed_tasks']} routed, "
             f"{stats['routing_spilled']} spill(s), "
             f"{stats['payload_fetches']} payload fetch(es) "
             f"({stats['payload_fetch_bytes']} bytes); "
-            f"scheduler ({stats['scheduler']}): "
+            f"scheduler (pipeline): "
             f"{stats['chunks_dispatched']} chunk(s), "
             f"{stats['speculative_dispatches']} speculated "
             f"({stats['speculative_wins']} win(s)), "

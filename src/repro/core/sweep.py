@@ -42,17 +42,15 @@ The sweep engine batches the whole pair grid into one pass:
   worker pool is long-lived (its kernel memos and
   :data:`~repro.afsa.lazy.VERDICTS` caches survive across sweeps),
   and results come back in input order, so verdicts and witnesses are
-  identical regardless of worker count, routing mode, transport, pool
-  restarts, or how often the session swept before (the determinism
-  the test suite asserts).  Re-sweeping an unchanged choreography
+  identical regardless of worker count, transport, pool restarts, or
+  how often the session swept before (the determinism the test suite
+  asserts).  Re-sweeping an unchanged choreography
   ships **zero** kernel payloads — every publish is an arena hit, and
   over TCP no fetch-on-miss fires.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
@@ -70,9 +68,8 @@ from repro.afsa.lazy import (
 from repro.afsa.serialize import afsa_from_json, kernel_digest
 from repro.afsa.witness import lazy_pair_witness
 from repro.core.runtime import (
-    SCHEDULER_BARRIER,
-    SCHEDULER_PIPELINE,
     EvolutionRuntime,
+    _injected_fault_delay,
     get_runtime,
     kernel_for,
 )
@@ -126,9 +123,9 @@ class SweepReport:
     test-only eager-oracle invocations — the last must stay zero on
     every production sweep.  ``routing_mode`` / ``shard_loads`` /
     ``routing_spilled`` describe how the fan-out placed this sweep's
-    pairs (rendezvous digest routing vs. legacy positional affinity,
-    the per-shard pair counts, and how many pairs overflowed their top
-    rendezvous candidate under the hot-shard spill cap);
+    pairs (rendezvous digest routing, the per-shard pair counts, and
+    how many pairs overflowed their top rendezvous candidate under the
+    hot-shard spill cap);
     ``payload_fetches`` / ``payload_fetch_bytes`` count the TCP
     fetch-on-miss traffic — a repeated sweep reports zero on any
     transport.  ``scheduler`` / ``chunks`` / ``speculative_*`` /
@@ -350,28 +347,6 @@ def check_pair(
 # -- persistent-runtime fan-out ------------------------------------------------
 
 
-def _injected_fault_delay(pair_count: int) -> None:
-    """Test-only straggler injection, a no-op in production.
-
-    ``REPRO_SWEEP_FAULT`` holds ``slot:seconds_per_pair`` entries
-    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — stamped
-    into the environment by ``ensure_pool`` as it forks each shard —
-    matches a slot sleeps ``seconds_per_pair × pairs`` before checking
-    its chunk.  Proportional-to-chunk delay is what makes the two
-    schedulers diverge measurably: the barrier path eats the slow
-    shard's whole backlog, the pipelined path bounds it to the
-    in-flight window (and speculation re-runs it elsewhere).
-    """
-    spec = os.environ.get("REPRO_SWEEP_FAULT")
-    if not spec:
-        return
-    slot = os.environ.get("REPRO_SHARD_SLOT", "")
-    for part in spec.split(","):
-        shard, _, per_pair = part.partition(":")
-        if shard == slot and per_pair:
-            time.sleep(float(per_pair) * max(1, pair_count))
-
-
 def _check_arena_chunk(payload):
     """Pool worker: resolve each referenced kernel by content digest (a
     memo hit after the first dispatch that shipped it — on any
@@ -492,11 +467,11 @@ def _sweep_grid_streaming(
     """Check a deduplicated grid, yielding verdicts as they complete.
 
     Yields ``(position, (consistent, witness))`` where *position*
-    indexes into *index_pairs* — **completion order** under the
-    pipelined scheduler, input order on the serial and barrier paths.
-    Verdicts and witnesses are a pure function of the grid either way
-    (ARCHITECTURE.md contract 9): every yield is tagged with its input
-    position, and pair identity is the kernels' content digest.
+    indexes into *index_pairs* — **completion order** on the fan-out
+    path, input order on the serial path.  Verdicts and witnesses are a
+    pure function of the grid either way (ARCHITECTURE.md contract 9):
+    every yield is tagged with its input position, and pair identity
+    is the kernels' content digest.
 
     With *stop_on_first*, the first inconsistent verdict ends the
     sweep: outstanding chunks are cancelled (counted in
@@ -542,9 +517,8 @@ def _sweep_grid_fanout(
     stop_on_first: bool,
 ):
     """The fan-out half of :func:`_sweep_grid_streaming`: publish the
-    grid's kernels once, dispatch through the runtime's scheduler
-    (pipelined micro-chunks by default, the one-chunk-per-shard
-    barrier when selected), and yield verdicts chunk by chunk."""
+    grid's kernels once, dispatch through the runtime's pipelined
+    scheduler, and yield verdicts chunk by chunk."""
     published0 = runtime.arena.published
     arena_hits0 = runtime.arena.hits
     fetches0 = runtime.payload_fetches
@@ -567,8 +541,6 @@ def _sweep_grid_fanout(
     route_digests = [
         kernel_digest(_lineage_root(kernel)) for kernel in kernels
     ]
-    scheduler = runtime.scheduler_mode()
-    stats["scheduler"] = scheduler
     try:
         with runtime.published(
             list(kernels) + list(ancestors.values())
@@ -587,68 +559,26 @@ def _sweep_grid_fanout(
             def key_of(pair):
                 return route_digests[pair[0]] + route_digests[pair[1]]
 
-            if scheduler == SCHEDULER_BARRIER:
-                results, extras, routing = runtime.map_chunked(
-                    _check_arena_chunk,
-                    index_pairs,
-                    payload_of,
-                    workers,
-                    key_of=key_of,
-                )
-                stats["routing_mode"] = routing["mode"]
-                stats["shard_loads"] = routing["loads"]
-                stats["routing_spilled"] = routing["spilled"]
-                for hits, misses, warm_delta in extras:
+            info: dict = {}
+            grid = runtime.map_streaming(
+                _check_arena_chunk, index_pairs, payload_of, workers,
+                key_of, info=info,
+            )
+            try:
+                for positions, chunk_results, extra in grid:
+                    hits, misses, warm_delta = extra
                     stats["cache_hits"] += hits
                     stats["cache_misses"] += misses
                     _merge_warm_delta(stats, warm_delta)
-                for position, result in enumerate(results):
-                    yield position, result
-                    if stop_on_first and not result[0]:
-                        break
-            else:
-                info: dict = {}
-                grid = runtime.map_streaming(
-                    _check_arena_chunk,
-                    index_pairs,
-                    payload_of,
-                    workers,
-                    key_of=key_of,
-                    info=info,
-                )
-                try:
-                    stopped = False
-                    for positions, chunk_results, extra in grid:
-                        hits, misses, warm_delta = extra
-                        stats["cache_hits"] += hits
-                        stats["cache_misses"] += misses
-                        _merge_warm_delta(stats, warm_delta)
-                        for position, result in zip(
-                            positions, chunk_results
-                        ):
-                            yield position, result
-                            if stop_on_first and not result[0]:
-                                stopped = True
-                                break
-                        if stopped:
-                            break
-                finally:
-                    # Cancels queued chunks and drains every attempt
-                    # before the arena pins are released below.
-                    grid.close()
-                    stats["routing_mode"] = info.get("mode", "")
-                    stats["shard_loads"] = info.get("loads", [])
-                    stats["routing_spilled"] = info.get("spilled", 0)
-                    stats["chunks"] = info.get("chunks", 0)
-                    stats["speculative_dispatches"] = info.get(
-                        "speculated", 0
-                    )
-                    stats["speculative_wins"] = info.get("spec_wins", 0)
-                    stats["stolen_chunks"] = info.get("stolen", 0)
-                    stats["cancelled_chunks"] = info.get("cancelled", 0)
-                    stats["inflight_high_water"] = info.get(
-                        "inflight_high_water", 0
-                    )
+                    for position, result in zip(positions, chunk_results):
+                        yield position, result
+                        if stop_on_first and not result[0]:
+                            return
+            finally:
+                # Cancels queued chunks and drains every attempt
+                # before the arena pins are released below.
+                grid.close()
+                stats.update(info)
     finally:
         stats["arena_published"] = runtime.arena.published - published0
         stats["arena_hits"] = runtime.arena.hits - arena_hits0
@@ -668,10 +598,10 @@ def _sweep_kernel_grid(
     """Check a deduplicated grid: *kernels* holds one kernel per unique
     participant view, *index_pairs* the ``(left, right)`` indices into
     it.  Returns ``(results, stats)`` with results in input order for
-    every worker count, scheduler and transport; with ``workers > 1``
-    the grid is dispatched through the (given or default) persistent
-    runtime — pipelined completion order is reassembled here, so the
-    batch API's determinism contract is untouched."""
+    every worker count and transport; with ``workers > 1`` the grid
+    is dispatched through the (given or default) persistent runtime —
+    pipelined completion order is reassembled here, so the batch API's
+    determinism contract is untouched."""
     stats = _empty_stats()
     results: list = [None] * len(index_pairs)
     for position, result in _sweep_grid_streaming(
@@ -876,8 +806,8 @@ def sweep_choreography_streaming(
 
     The streaming face of :func:`sweep_choreography`: same grid, same
     fan-out, but each :class:`PairOutcome` is yielded the moment its
-    chunk returns — under the pipelined scheduler that is completion
-    order, so a long sweep surfaces progress without a barrier.  With
+    chunk returns — on the fan-out path that is completion order, so
+    a long sweep surfaces progress before its slowest chunk.  With
     *stop_on_first_inconsistency* the first inconsistent verdict ends
     the sweep: outstanding chunks are cancelled, and the report counts
     the unchecked pairs as ``undecided``.

@@ -26,11 +26,14 @@ are fanned out through the persistent evolution runtime
 content-addressed kernel arena and chunks carry digest references plus
 trace texts, workers resolve and memoize the kernels (and their replay
 tries) by digest across dispatches, trace classes route to shards by
-rendezvous hashing on model digest + trace content, and results return
-in input order, so verdicts and witnesses are identical for every
-worker count, routing mode, transport, and across pool restarts.  The residual-liveness verdicts themselves ride the memoized
-incremental good set of each model's kernel; repeated classifications
-against an unchanged model pair reuse it for free.
+rendezvous hashing on model digest + trace content, chunks ride the
+same pipelined scheduler as consistency sweeps (stealing and
+speculation included), and results are gathered back into input
+order, so verdicts and witnesses are identical for every worker count,
+transport, and across pool restarts.  The residual-liveness verdicts
+themselves ride the memoized incremental good set of each model's
+kernel; repeated classifications against an unchanged model pair reuse
+it for free.
 
 Between evolution steps, running instances keep exchanging messages.
 :class:`FleetClassifier` is the *incremental* maintenance path for that
@@ -55,7 +58,12 @@ from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
 from repro.afsa.kernel import Kernel, kernel_of
-from repro.core.runtime import EvolutionRuntime, get_runtime, kernel_for
+from repro.core.runtime import (
+    EvolutionRuntime,
+    _injected_fault_delay,
+    get_runtime,
+    kernel_for,
+)
 from repro.instances.replay import (
     MIGRATABLE,
     PENDING,
@@ -287,6 +295,7 @@ def _classify_arena_chunk(payload):
     persist across a long-lived pool's tasks, under any segment name
     and on any transport), classify a chunk of classes."""
     new_ref, old_ref, traces, witnesses = payload
+    _injected_fault_delay(len(traces))
     new_kernel = kernel_for(new_ref)
     cache = ReplayCache.for_kernel(new_kernel)
     old_kernel = None
@@ -370,7 +379,7 @@ def classify_fleet(
                 if old_model is not None
                 else None
             )
-            ordered_results, _, _ = runtime.map_chunked(
+            ordered_results = runtime.map_chunked(
                 _classify_arena_chunk,
                 ordered,
                 lambda chunk: (

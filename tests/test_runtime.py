@@ -19,6 +19,7 @@ Three contracts are pinned down here:
 from __future__ import annotations
 
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -434,12 +435,11 @@ class TestInvariance:
 class TestRoutingAffinity:
     """Regression for the stale-affinity trap the digest router fixes:
     a grid that is *almost* identical to the previous dispatch — one
-    pair inserted at the front — shifts every position, so positional
-    chunking re-ships each pair to a shard that never saw it, while
-    rendezvous hashing on content digests keeps every repeated pair on
-    its warm shard."""
+    pair inserted at the front — shifts every position, yet rendezvous
+    hashing on content digests keeps every repeated pair on its warm
+    shard."""
 
-    def _run(self, routing):
+    def _run(self):
         base = [
             (
                 random_afsa(seed=700 + 13 * i, states=8, labels=4),
@@ -451,7 +451,7 @@ class TestRoutingAffinity:
             random_afsa(seed=690, states=8, labels=4),
             random_afsa(seed=691, states=8, labels=4),
         )
-        with EvolutionRuntime(routing=routing) as rt:
+        with EvolutionRuntime() as rt:
             _sweep_pairs_stats(base, WITNESS_NONE, 2, rt)  # cold
             _, repeat = _sweep_pairs_stats(base, WITNESS_NONE, 2, rt)
             _, shifted = _sweep_pairs_stats(
@@ -459,13 +459,8 @@ class TestRoutingAffinity:
             )
         return repeat["cache_hits"], shifted["cache_hits"]
 
-    def test_positional_affinity_goes_cold_on_a_shifted_grid(self):
-        repeat_hits, shifted_hits = self._run("positional")
-        assert repeat_hits == 6  # the identical repeat is fully warm
-        assert shifted_hits < repeat_hits  # the shift loses the caches
-
     def test_digest_routing_stays_warm_on_a_shifted_grid(self):
-        repeat_hits, shifted_hits = self._run("digest")
+        repeat_hits, shifted_hits = self._run()
         assert repeat_hits == 6
         # Every repeated pair still hits its shard's cache: at least
         # as warm as the identical-repeat case.
@@ -616,6 +611,26 @@ class TestFleetClassifierDelta:
         assert dirty == {0, twin.id}
 
 
+def _instance_key(report):
+    return [
+        (e.instance, e.verdict, e.continuation, e.blocked_on)
+        for e in report.verdicts
+    ]
+
+
+def _spy_dispatches(monkeypatch, rt) -> list:
+    """Collect the ``info`` dict of every dispatch *rt* streams."""
+    infos: list = []
+    stream = rt.map_streaming
+
+    def spy(*args, **kwargs):
+        infos.append(kwargs.setdefault("info", {}))
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(rt, "map_streaming", spy)
+    return infos
+
+
 class TestMigrationThroughRuntime:
     def test_worker_verdicts_match_serial(self, runtime):
         old, new = TestFleetClassifierDelta()._models()
@@ -629,13 +644,7 @@ class TestMigrationThroughRuntime:
             store, old, new, version="A#v1", witnesses=WITNESS_ALL,
             workers=2, runtime=runtime,
         )
-        assert [
-            (e.instance, e.verdict, e.continuation, e.blocked_on)
-            for e in fanned.verdicts
-        ] == [
-            (e.instance, e.verdict, e.continuation, e.blocked_on)
-            for e in serial.verdicts
-        ]
+        assert _instance_key(fanned) == _instance_key(serial)
         # The second fan-out ships nothing: both models are arena hits.
         published0 = runtime.arena.published
         classify_migration(
@@ -643,6 +652,85 @@ class TestMigrationThroughRuntime:
             workers=2, runtime=runtime,
         )
         assert runtime.arena.published == published0
+
+    def test_straggler_bounded_and_verdicts_match_serial(
+        self, monkeypatch
+    ):
+        """Migration chunks ride the pipelined scheduler: with the
+        busier shard sleeping 0.05 s per trace and forced speculation,
+        the fleet classifies in under half the slow shard's own share,
+        and every verdict, continuation and blocked-on set matches
+        serial."""
+        old, new = TestFleetClassifierDelta()._models()
+        store = generate_fleet(
+            old, 300, seed=13, version="A#v1", distinct=24
+        )
+        serial = classify_migration(
+            store, old, new, version="A#v1", witnesses=WITNESS_ALL
+        )
+        # Placement follows content digests, which differ between
+        # interpreter runs: probe it, and slow down the busier shard.
+        with EvolutionRuntime() as rt:
+            probes = _spy_dispatches(monkeypatch, rt)
+            classify_migration(
+                store, old, new, version="A#v1", witnesses=WITNESS_NONE,
+                workers=2, runtime=rt,
+            )
+        loads = probes[0]["shard_loads"]
+        slow = loads.index(max(loads))
+        monkeypatch.setenv("REPRO_SWEEP_FAULT", f"{slow}:0.05")
+        monkeypatch.setenv("REPRO_SWEEP_SPECULATE", "force")
+        with EvolutionRuntime(window=1) as rt:
+            rt.ensure_pool(2)  # fork outside the timing
+            infos = _spy_dispatches(monkeypatch, rt)
+            start = time.monotonic()
+            fanned = classify_migration(
+                store, old, new, version="A#v1", witnesses=WITNESS_ALL,
+                workers=2, runtime=rt,
+            )
+            elapsed = time.monotonic() - start
+        (info,) = infos
+        assert info["shard_loads"] == loads
+        assert elapsed <= 0.5 * loads[slow] * 0.05
+        assert _instance_key(fanned) == _instance_key(serial)
+
+    def test_cheap_fleet_is_not_split_by_sweep_latency(self, monkeypatch):
+        """Chunk sizing learns latency per worker function: once the
+        migration has observed its own sub-millisecond traces, a
+        migration dispatch that follows sweeps of milliseconds-per-pair
+        grids stays at most one chunk per shard — it is not cut by the
+        sweep's pairs."""
+        old, new = TestFleetClassifierDelta()._models()
+        store = generate_fleet(
+            old, 60, seed=13, version="A#v1", distinct=6
+        )
+
+        def migrate(rt):
+            classify_migration(
+                store, old, new, version="A#v1", witnesses=WITNESS_NONE,
+                workers=2, runtime=rt,
+            )
+
+        with EvolutionRuntime() as rt:
+            for _ in range(4):
+                migrate(rt)
+            for round_number in range(2):
+                grid = [
+                    (
+                        random_afsa(seed=3000 + 20 * round_number + i,
+                                    states=256, labels=6),
+                        random_afsa(seed=3010 + 20 * round_number + i,
+                                    states=256, labels=6),
+                    )
+                    for i in range(6)
+                ]
+                sweep_pairs(grid, witnesses=WITNESS_NONE, workers=2,
+                            runtime=rt)
+            infos = _spy_dispatches(monkeypatch, rt)
+            migrate(rt)
+            pool_size = rt.pool_size
+        (info,) = infos
+        assert info["chunks"] <= pool_size
 
 
 class TestLineageArenaEviction:

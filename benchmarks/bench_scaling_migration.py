@@ -19,6 +19,15 @@ Two series over the same fleets:
   fleet size; the honest baseline the batched engine is measured
   against in this same file.
 
+A third series isolates the *commit* cost from the store size:
+
+* **migration-commit** — a committed (``apply=True``) migration of one
+  fixed 1k-instance version inside stores that also hold 1k, 10k and
+  100k records of other versions.  The store is indexed by version,
+  so the commit reads and re-keys only the migrating version's
+  classes; the bench asserts the 100k row costs at most twice the 1k
+  row (the rows run in size order, so a full-file run checks it).
+
 Verdict agreement between the two paths and worker-count invariance of
 the batched engine are asserted inside the bench setup, so the JSON
 doubles as a determinism record.
@@ -32,7 +41,7 @@ from repro.instances.migrate import (
     classify_migration,
     classify_trace_reference,
 )
-from repro.instances.store import InstanceStore
+from repro.instances.store import RUNNING, InstanceStore
 from repro.scenario.procurement import (
     accounting_private,
     accounting_private_subtractive_change,
@@ -41,6 +50,11 @@ from repro.workload.fleet import generate_fleet
 
 FLEET_SIZES = [1000, 4000, 16000]
 DISTINCT = 64
+#: Records of *other* versions around the migrating 1k-instance fleet.
+BYSTANDER_SIZES = [1000, 10000, 100000]
+COMMIT_FLEET = 1000
+#: Median commit seconds per bystander size, for the ≤ 2× bound.
+_COMMIT_MEDIANS: dict = {}
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +128,59 @@ def test_scaling_migration_naive(benchmark, models, size):
         ]
     )
     assert len(verdicts) == size
+
+
+@pytest.mark.parametrize("bystanders", BYSTANDER_SIZES)
+def test_scaling_migration_commit(benchmark, models, bystanders):
+    """A committed migration of a fixed 1k-instance version, timed in
+    stores holding *bystanders* records of other versions."""
+    old, new = models
+    store = InstanceStore()
+    for index in range(10):
+        generate_fleet(
+            old, bystanders // 10, seed=31 + index,
+            version=f"B#v{index}", distinct=DISTINCT, store=store,
+        )
+    generate_fleet(
+        old, COMMIT_FLEET, seed=29, version="A#v1", distinct=DISTINCT,
+        store=store,
+    )
+    before = store.status_counts("A#v1")
+
+    def reset():
+        # Untimed: carry the migrated classes back and restore the
+        # statuses, so every round commits the same fleet.
+        for _, trace in store.classes(version="A#v2"):
+            store.migrate_class("A#v2", trace, "A#v1")
+        for record in store.instances(version="A#v1"):
+            record.status = RUNNING
+
+    def commit():
+        return classify_migration(
+            store, old, new, version="A#v1", new_version="A#v2",
+            witnesses=WITNESS_NONE, apply=True,
+        )
+
+    reset()
+    first = commit()
+    assert sum(first.counts.values()) == COMMIT_FLEET
+    reset()
+    assert store.status_counts("A#v1") == before
+
+    benchmark.group = "migration-commit"
+    benchmark.extra_info["instances"] = COMMIT_FLEET
+    benchmark.extra_info["bystanders"] = bystanders
+    benchmark.extra_info["classes"] = first.classes
+    report = benchmark.pedantic(
+        commit, setup=reset, rounds=60, iterations=1, warmup_rounds=2
+    )
+    assert sum(report.counts.values()) == COMMIT_FLEET
+    assert len(store) == COMMIT_FLEET + bystanders
+
+    _COMMIT_MEDIANS[bystanders] = benchmark.stats.stats.median
+    smallest = BYSTANDER_SIZES[0]
+    if bystanders == BYSTANDER_SIZES[-1] and smallest in _COMMIT_MEDIANS:
+        assert (
+            _COMMIT_MEDIANS[bystanders] <= 2 * _COMMIT_MEDIANS[smallest]
+        ), _COMMIT_MEDIANS
+

@@ -305,11 +305,35 @@ def kernel_of(automaton: AFSA) -> Kernel:
     return kernel
 
 
+def _canonical_key(name) -> tuple:
+    """A total order on state names that no hash seed can perturb.
+
+    Names are strings, ints, and tuples or frozensets of names (pairs
+    from products, subsets from determinization); a frozenset's own
+    iteration order — and so its ``repr`` — depends on
+    ``PYTHONHASHSEED``, so it is keyed by its sorted members instead.
+    """
+    if isinstance(name, str):
+        return (0, name)
+    if isinstance(name, int):
+        return (1, name)
+    if isinstance(name, tuple):
+        return (2, tuple(_canonical_key(part) for part in name))
+    if isinstance(name, frozenset):
+        return (3, tuple(sorted(_canonical_key(part) for part in name)))
+    return (4, type(name).__name__, repr(name))
+
+
 def _build_kernel(automaton: AFSA) -> Kernel:
-    names = list(automaton.states)
+    # States are numbered, and each row's labels and targets ordered,
+    # canonically rather than in set-iteration order: the dense arrays
+    # (and with them the wire tuple and its digest, ARCHITECTURE.md
+    # contract 8) must not depend on the interpreter's hash seed.
+    names = sorted(automaton.states, key=_canonical_key)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
     intern = INTERNER.intern
+    text_of = INTERNER.text
 
     adj_lists: list = [None] * n
     eps_lists: list = [None] * n
@@ -330,10 +354,16 @@ def _build_kernel(automaton: AFSA) -> Kernel:
     adj = [
         {}
         if row is None
-        else {lid: tuple(targets) for lid, targets in row.items()}
+        else {
+            lid: tuple(sorted(row[lid]))
+            for lid in sorted(row, key=text_of)
+        }
         for row in adj_lists
     ]
-    eps = [() if bucket is None else tuple(bucket) for bucket in eps_lists]
+    eps = [
+        () if bucket is None else tuple(sorted(bucket))
+        for bucket in eps_lists
+    ]
 
     kernel = Kernel(
         n=n,

@@ -571,9 +571,9 @@ def compile_process(
     Compilation is **memoized per process instance and policy**: the
     same ``process`` object returns the same :class:`CompiledProcess`
     on repeated calls.  Process models are treated as immutable
-    versions — change operations rewrite clones
-    (:meth:`~repro.bpel.model.ProcessModel.clone`), and a clone always
-    compiles fresh.  Mutating a ``ProcessModel`` in place after
+    versions — change operations build a new ``ProcessModel`` around
+    a rewritten tree (:func:`~repro.bpel.model.rewrite`), and a new
+    version always compiles fresh.  Mutating a ``ProcessModel`` in place after
     compiling it is unsupported and would serve the stale result.
 
     Args:
@@ -593,7 +593,7 @@ def compile_process(
         )
 
     # Compilation is memoized per process *instance* (process models are
-    # treated as immutable versions: change operations rewrite clones,
+    # treated as immutable versions: change operations build new ones,
     # see repro.core.changes).  Assessing a change against N partners —
     # or re-running a benchmark round — compiles each version once.
     cache = _compile_cache_for(process)

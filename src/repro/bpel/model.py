@@ -3,9 +3,10 @@
 Activities form a strictly nested tree, mirroring "the strict nesting of
 a BPEL document" the paper's mapping relies on (Sect. 3.3).  The model is
 *immutable by convention*: change operations (:mod:`repro.core.changes`)
-rewrite trees functionally via :meth:`Activity.clone` and the rewriting
-helpers below, so a private process version history can be kept without
-aliasing surprises.
+rewrite trees functionally via :func:`rewrite`, which shares every
+untouched subtree between the old and the new version, so no code may
+mutate a node after its tree was built — a private process version
+history is then kept without copying whole trees.
 
 Communication activities name the *partner* (the other party) and the
 *operation*; the direction follows from the activity type.  For a process
@@ -430,83 +431,92 @@ def rewrite(
 ) -> Activity | None:
     """Rebuild *activity* bottom-up, applying *transform* to every node.
 
-    *transform* receives each (already rebuilt) node and returns a
-    replacement, the node itself (keep), or ``None`` (delete).  Deleting
-    the child of a single-child construct replaces it with
-    :class:`Empty`; deleting a :class:`Case`/:class:`OnMessage` removes
-    the branch.  Returns the rebuilt tree, or ``None`` if the root itself
-    was deleted.
+    *transform* receives each node after its children were rewritten
+    and returns a replacement, the node itself (keep), or ``None``
+    (delete).  It must not mutate the node it receives: when nothing
+    beneath a node changed, that is the *input's* node.  Deleting the
+    child of a single-child construct replaces it with :class:`Empty`;
+    deleting a :class:`Case`/:class:`OnMessage` removes the branch.
+    Returns the rebuilt tree, or ``None`` if the root itself was
+    deleted.
+
+    Subtrees in which nothing changed are shared with the input, not
+    copied: only the nodes on a path to a change are rebuilt (shallow
+    copies with fresh child lists), so the input is never mutated and
+    a local change allocates in proportion to its depth, not to the
+    tree.
     """
-    rebuilt = _rebuild_children(activity, transform)
-    if rebuilt is None:
-        return None
-    return transform(rebuilt)
+    return transform(_rebuild_children(activity, transform))
+
+
+def _rewrite_branches(
+    children: list,
+    transform: Callable[[Activity], Activity | None],
+    kind: type | None = None,
+) -> list | None:
+    """Rewrite a child list; ``None`` when no child changed, otherwise
+    the new list (deleted children dropped)."""
+    rebuilt = []
+    changed = False
+    for child in children:
+        result = rewrite(child, transform)
+        if result is not child:
+            changed = True
+            if result is None:
+                continue
+            if kind is not None and not isinstance(result, kind):
+                raise ProcessModelError(
+                    f"branches must remain {kind.__name__} nodes"
+                )
+        rebuilt.append(result)
+    return rebuilt if changed else None
 
 
 def _rebuild_children(
     activity: Activity,
     transform: Callable[[Activity], Activity | None],
-) -> Activity | None:
-    def rewrite_child(child: Activity) -> Activity | None:
-        return rewrite(child, transform)
-
-    def required(child: Activity) -> Activity:
-        result = rewrite_child(child)
-        return Empty() if result is None else result
-
+) -> Activity:
     if isinstance(activity, (Sequence, Flow)):
-        new_children = []
-        for child in activity.activities:
-            result = rewrite_child(child)
-            if result is not None:
-                new_children.append(result)
+        children = _rewrite_branches(activity.activities, transform)
+        if children is None:
+            return activity
         clone = copy.copy(activity)
-        clone.activities = new_children
-        return clone
-    if isinstance(activity, While):
-        clone = copy.copy(activity)
-        clone.body = required(activity.body)
-        return clone
-    if isinstance(activity, Case):
-        clone = copy.copy(activity)
-        clone.activity = required(activity.activity)
+        clone.activities = children
         return clone
     if isinstance(activity, Switch):
-        new_cases = []
-        for case in activity.cases:
-            result = rewrite_child(case)
-            if result is not None:
-                if not isinstance(result, Case):
-                    raise ProcessModelError(
-                        "switch branches must remain Case nodes"
-                    )
-                new_cases.append(result)
-        new_otherwise = None
-        if activity.otherwise is not None:
-            new_otherwise = rewrite_child(activity.otherwise)
+        cases = _rewrite_branches(activity.cases, transform, Case)
+        otherwise = activity.otherwise
+        if otherwise is not None:
+            otherwise = rewrite(otherwise, transform)
+        if cases is None and otherwise is activity.otherwise:
+            return activity
         clone = copy.copy(activity)
-        clone.cases = new_cases
-        clone.otherwise = new_otherwise
-        return clone
-    if isinstance(activity, OnMessage):
-        clone = copy.copy(activity)
-        clone.activity = required(activity.activity)
+        clone.cases = list(activity.cases) if cases is None else cases
+        clone.otherwise = otherwise
         return clone
     if isinstance(activity, Pick):
-        new_branches = []
-        for branch in activity.branches:
-            result = rewrite_child(branch)
-            if result is not None:
-                if not isinstance(result, OnMessage):
-                    raise ProcessModelError(
-                        "pick branches must remain OnMessage nodes"
-                    )
-                new_branches.append(result)
+        branches = _rewrite_branches(activity.branches, transform, OnMessage)
+        if branches is None:
+            return activity
         clone = copy.copy(activity)
-        clone.branches = new_branches
+        clone.branches = branches
         return clone
-    if isinstance(activity, Scope):
-        clone = copy.copy(activity)
-        clone.activity = required(activity.activity)
-        return clone
-    return copy.copy(activity)
+    field_name = _SINGLE_CHILD.get(type(activity))
+    if field_name is None:
+        return activity
+    child = getattr(activity, field_name)
+    result = rewrite(child, transform)
+    if result is child:
+        return activity
+    clone = copy.copy(activity)
+    setattr(clone, field_name, Empty() if result is None else result)
+    return clone
+
+
+#: The child field of each single-child construct.
+_SINGLE_CHILD = {
+    While: "body",
+    Case: "activity",
+    OnMessage: "activity",
+    Scope: "activity",
+}

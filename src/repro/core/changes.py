@@ -3,8 +3,13 @@
 The paper restricts itself to structural changes — "the insertion or
 deletion of process activities" — and builds complex changes from basic
 ones.  Operations here are *functional*: ``apply`` returns a rewritten
-clone, the input process is never mutated, so version histories stay
+process, the input process is never mutated, so version histories stay
 intact (a prerequisite for computing ``A \\ A'`` between versions).
+The rewrite rebuilds only the path to the changed activity
+(:func:`~repro.bpel.model.rewrite`), shares every untouched subtree
+with the old version and deep-copies only what the change inserts, so
+applying a change never deep-clones the process; no transform mutates
+a node it did not build.
 
 Activities are addressed by their ``name``; every operation raises
 :class:`~repro.errors.UnknownBlockError` when the target is missing so
@@ -13,7 +18,7 @@ typos fail loudly rather than silently producing no-op changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bpel.model import (
     Activity,
@@ -46,23 +51,34 @@ class ChangeOperation:
 def _apply_rewrite(
     process: ProcessModel, target: str, transform
 ) -> ProcessModel:
-    """Clone *process*, rewriting the activity named *target*."""
-    if process.find(target) is None:
-        raise UnknownBlockError(
-            f"process {process.name!r} has no activity named {target!r}"
-        )
-    clone = process.clone()
+    """A new process: *process* with the activity named *target*
+    rewritten by *transform*.
+
+    :func:`~repro.bpel.model.rewrite` rebuilds only the nodes on the
+    path to the target and shares every untouched subtree with the old
+    version, so *transform* must never mutate the node it receives (it
+    returns a new node, built with :func:`dataclasses.replace` or from
+    clones); the old version stays intact without a deep clone, and a
+    change costs the tree walk plus its own depth, not a copy of the
+    tree.
+    """
+    hit = False
 
     def visit(activity: Activity):
+        nonlocal hit
         if activity.name == target:
+            hit = True
             return transform(activity)
         return activity
 
-    new_root = rewrite(clone.activity, visit)
+    new_root = rewrite(process.activity, visit)
+    if not hit:
+        raise UnknownBlockError(
+            f"process {process.name!r} has no activity named {target!r}"
+        )
     if new_root is None:
         raise ChangeError("change deleted the process root")
-    clone.activity = new_root
-    return clone
+    return replace(process, activity=new_root)
 
 
 @dataclass
@@ -90,8 +106,9 @@ class InsertActivity(ChangeOperation):
             position = (
                 len(node.activities) if self.index is None else self.index
             )
-            node.activities.insert(position, self.activity.clone())
-            return node
+            activities = list(node.activities)
+            activities.insert(position, self.activity.clone())
+            return replace(node, activities=activities)
 
         return _apply_rewrite(process, self.sequence_name, transform)
 
@@ -149,8 +166,7 @@ class AddSwitchBranch(ChangeOperation):
                     f"activity {self.switch_name!r} is a {node.kind}, "
                     f"not a Switch"
                 )
-            node.cases.append(self.case.clone())
-            return node
+            return replace(node, cases=node.cases + [self.case.clone()])
 
         return _apply_rewrite(process, self.switch_name, transform)
 
@@ -172,13 +188,15 @@ class RemoveSwitchBranch(ChangeOperation):
                     f"activity {self.switch_name!r} is a {node.kind}, "
                     f"not a Switch"
                 )
+            cases = list(node.cases)
             try:
-                node.cases.pop(self.index)
+                cases.pop(self.index)
             except IndexError as error:
                 raise ChangeError(
                     f"switch {self.switch_name!r} has no case index "
                     f"{self.index}"
                 ) from error
+            node = replace(node, cases=cases)
             if not node.branches():
                 raise ChangeError(
                     f"removing the branch would leave switch "
@@ -212,8 +230,9 @@ class AddPickBranch(ChangeOperation):
                     f"activity {self.pick_name!r} is a {node.kind}, "
                     f"not a Pick"
                 )
-            node.branches.append(self.branch.clone())
-            return node
+            return replace(
+                node, branches=node.branches + [self.branch.clone()]
+            )
 
         return _apply_rewrite(process, self.pick_name, transform)
 
@@ -253,8 +272,7 @@ class RemovePickBranch(ChangeOperation):
                     f"removing the branch would leave pick "
                     f"{self.pick_name!r} empty"
                 )
-            node.branches = remaining
-            return node
+            return replace(node, branches=remaining)
 
         return _apply_rewrite(process, self.pick_name, transform)
 
@@ -551,8 +569,7 @@ class ChangeLoopCondition(ChangeOperation):
                     f"activity {self.while_name!r} is a {node.kind}, "
                     f"not a While"
                 )
-            node.condition = self.condition
-            return node
+            return replace(node, condition=self.condition)
 
         return _apply_rewrite(process, self.while_name, transform)
 

@@ -20,7 +20,11 @@ from repro.afsa.kernel import kernel_of
 from repro.afsa.lazy import note_lineage
 from repro.afsa.view import project_view
 from repro.core.sweep import WITNESS_ALL, sweep_choreography
-from repro.bpel.compile import CompiledProcess, compile_process
+from repro.bpel.compile import (
+    ANNOTATE_SWITCH_ONLY,
+    CompiledProcess,
+    compile_process,
+)
 from repro.bpel.model import ProcessModel
 from repro.errors import ChoreographyError
 from repro.instances.migrate import MigrationReport, classify_migration
@@ -240,16 +244,25 @@ class Choreography:
 
     # -- derived artifacts ------------------------------------------------
 
+    def compile(self, party: str, process: ProcessModel) -> CompiledProcess:
+        """Compile *process* as a private process of *party*, under the
+        annotation policy the party was registered with.
+
+        Every compile of a party's process — the installed version, an
+        evolution step's candidate, an auto-adapted partner — goes
+        through here, so a candidate identical to the installed
+        process compiles to the identical public process.
+        """
+        self._require(party)
+        return compile_process(
+            process, policy=self._policy.get(party, ANNOTATE_SWITCH_ONLY)
+        )
+
     def compiled(self, party: str) -> CompiledProcess:
         """Return (and cache) the compiled public process of *party*."""
         self._require(party)
         if party not in self._compiled:
-            kwargs = {}
-            if party in self._policy:
-                kwargs["policy"] = self._policy[party]
-            self._compiled[party] = compile_process(
-                self._private[party], **kwargs
-            )
+            self._compiled[party] = self.compile(party, self._private[party])
         return self._compiled[party]
 
     def public(self, party: str) -> AFSA:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.afsa.emptiness import is_consistent
 from repro.afsa.equivalence import language_equal
 from repro.afsa.view import project_view
-from repro.bpel.compile import CompiledProcess, compile_process
+from repro.bpel.compile import CompiledProcess
 from repro.bpel.model import ProcessModel
 from repro.core.changes import ChangeOperation
 from repro.core.choreography import Choreography
@@ -189,7 +189,7 @@ class EvolutionEngine:
             new_private = change
         else:
             new_private = change.apply(choreography.private(party))
-        new_compiled = compile_process(new_private)
+        new_compiled = choreography.compile(party, new_private)
 
         public_changed = not self._public_equivalent(
             old_compiled, new_compiled
@@ -336,7 +336,7 @@ class EvolutionEngine:
         process = self.choreography.private(other)
         for operation in executable:
             process = operation.apply(process)
-        adapted_compiled = compile_process(process)
+        adapted_compiled = self.choreography.compile(other, process)
         view = project_view(new_public, other)
         adapted_view = project_view(adapted_compiled.afsa, originator)
         # Lazy pair-exploration verdict (ad 5), asked in the sweep's

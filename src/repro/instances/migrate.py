@@ -18,10 +18,17 @@ an instance is
 
 Classification is *batched*: the fleet is grouped into (version, trace)
 equivalence classes first (:meth:`~repro.instances.store.InstanceStore.
-classes`), each class is replayed once through the memoized
-:class:`~repro.instances.replay.ReplayCache`, and verdicts are
-broadcast to every member.  With ``workers > 1`` the distinct classes
-are fanned out through the persistent evolution runtime
+classes`, read from the store's version index — O(classes of the
+migrating version), never a walk of the whole store), each class is
+replayed once through the memoized
+:class:`~repro.instances.replay.ReplayCache`, each distinct reached
+state set is decided once (:meth:`~repro.instances.replay.ReplayCache.
+decide` — verdict, continuation witness and blocked messages), and
+verdicts are broadcast to every member.  Committing a migration
+(``apply=True``) moves each migratable class to the new version as a
+whole (:meth:`~repro.instances.store.InstanceStore.migrate_class`).
+With ``workers > 1`` the distinct classes are fanned out through the
+persistent evolution runtime
 (:mod:`repro.core.runtime`): the models are *published once* to the
 content-addressed kernel arena and chunks carry digest references plus
 trace texts, workers resolve and memoize the kernels (and their replay
@@ -57,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
-from repro.afsa.kernel import Kernel, kernel_of
+from repro.afsa.kernel import kernel_of
 from repro.core.runtime import (
     EvolutionRuntime,
     _injected_fault_delay,
@@ -69,13 +76,9 @@ from repro.instances.replay import (
     PENDING,
     STRANDED,
     ReplayCache,
-    blocked_messages,
-    classify_states,
-    continuation_witness,
 )
 from repro.instances.store import RUNNING, InstanceStore
 from repro.messages.alphabet import INTERNER
-from repro.messages.label import label_text
 
 #: Witness policies (mirroring :mod:`repro.core.sweep`): no witnesses,
 #: diagnosis only for pending/stranded classes, or the full report with
@@ -114,8 +117,10 @@ class InstanceVerdict:
 class ClassVerdict:
     """Disposition of one (version, trace) equivalence class.
 
-    ``records`` is the *shared* member list from the store grouping —
-    a class verdict costs O(1) however many instances share the trace.
+    ``records`` is the member list from the store grouping — a class
+    verdict costs O(1) however many instances share the trace.  The
+    ``continuation`` and ``blocked_on`` lists are the verdict's own,
+    so mutating one report never reaches another.
     """
 
     records: list
@@ -260,33 +265,38 @@ class MigrationReport:
 
 
 def _classify_ids(
-    new_kernel: Kernel,
     cache: ReplayCache,
-    old_kernel: Kernel | None,
     old_cache: ReplayCache | None,
     label_ids,
     witnesses: str,
 ) -> tuple:
-    """Classify one trace class; returns a picklable result tuple."""
-    states = cache.replay(label_ids)
-    verdict = classify_states(new_kernel, states)
-    continuation = None
-    blocked: list = []
-    if verdict == MIGRATABLE:
-        if witnesses == WITNESS_ALL:
-            continuation = [
-                label_text(label)
-                for label in continuation_witness(new_kernel, states)
-            ]
-    elif witnesses != WITNESS_NONE and states:
-        blocked = blocked_messages(new_kernel, states)
+    """Classify one trace class; returns a picklable result tuple
+    ``(verdict, continuation, blocked, compliant_with_old)`` whose
+    word tuples are shared with the caches' decision memos."""
+    verdict, continuation, blocked = cache.decide(
+        cache.replay(label_ids),
+        witnesses == WITNESS_ALL,
+        witnesses != WITNESS_NONE,
+    )
     compliant_with_old = None
-    if old_kernel is not None and verdict != MIGRATABLE:
-        old_states = old_cache.replay(label_ids)
-        compliant_with_old = (
-            classify_states(old_kernel, old_states) == MIGRATABLE
+    if old_cache is not None and verdict != MIGRATABLE:
+        old_verdict, _, _ = old_cache.decide(
+            old_cache.replay(label_ids), False, False
         )
+        compliant_with_old = old_verdict == MIGRATABLE
     return (verdict, continuation, blocked, compliant_with_old)
+
+
+def _class_verdict(records, result: tuple) -> ClassVerdict:
+    """A :class:`ClassVerdict` over *records* with its own word lists."""
+    verdict, continuation, blocked, compliant_with_old = result
+    return ClassVerdict(
+        records=records,
+        verdict=verdict,
+        continuation=None if continuation is None else list(continuation),
+        blocked_on=list(blocked),
+        compliant_with_old=compliant_with_old,
+    )
 
 
 def _classify_arena_chunk(payload):
@@ -296,19 +306,16 @@ def _classify_arena_chunk(payload):
     and on any transport), classify a chunk of classes."""
     new_ref, old_ref, traces, witnesses = payload
     _injected_fault_delay(len(traces))
-    new_kernel = kernel_for(new_ref)
-    cache = ReplayCache.for_kernel(new_kernel)
-    old_kernel = None
-    old_cache = None
-    if old_ref is not None:
-        old_kernel = kernel_for(old_ref)
-        old_cache = ReplayCache.for_kernel(old_kernel)
+    cache = ReplayCache.for_kernel(kernel_for(new_ref))
+    old_cache = (
+        ReplayCache.for_kernel(kernel_for(old_ref))
+        if old_ref is not None
+        else None
+    )
     intern = INTERNER.intern
     return [
         _classify_ids(
-            new_kernel,
             cache,
-            old_kernel,
             old_cache,
             [intern(text) for text in trace_texts],
             witnesses,
@@ -405,17 +412,14 @@ def classify_fleet(
             for trace, result in zip(ordered, ordered_results)
         }
     else:
-        new_kernel = kernel_of(target)
-        cache = ReplayCache.for_kernel(new_kernel)
-        old_kernel = None
-        old_cache = None
-        if old_model is not None:
-            old_kernel = kernel_of(old_model)
-            old_cache = ReplayCache.for_kernel(old_kernel)
+        cache = ReplayCache.for_kernel(kernel_of(target))
+        old_cache = (
+            ReplayCache.for_kernel(kernel_of(old_model))
+            if old_model is not None
+            else None
+        )
         results_by_id = {
-            id(trace): _classify_ids(
-                new_kernel, cache, old_kernel, old_cache, trace, witnesses
-            )
+            id(trace): _classify_ids(cache, old_cache, trace, witnesses)
             for trace in ordered
         }
 
@@ -424,27 +428,19 @@ def classify_fleet(
         new_version=new_version,
         workers=workers or 1,
     )
-    for (_, trace), records in classes.items():
-        verdict, continuation, blocked, compliant_with_old = results_by_id[
-            id(trace)
-        ]
-        report.class_verdicts.append(
-            ClassVerdict(
-                records=records,
-                verdict=verdict,
-                continuation=continuation,
-                blocked_on=blocked,
-                compliant_with_old=compliant_with_old,
-            )
-        )
+    for (class_version, trace), records in classes.items():
+        entry = _class_verdict(records, results_by_id[id(trace)])
+        report.class_verdicts.append(entry)
         if apply:
+            status = entry.verdict
+            if status == MIGRATABLE:
+                # One bucket move per class, not a version write per
+                # member.
+                if new_version:
+                    store.migrate_class(class_version, trace, new_version)
+                status = RUNNING
             for record in records:
-                if verdict == MIGRATABLE:
-                    if new_version:
-                        record.version = new_version
-                    record.status = RUNNING
-                else:
-                    record.status = verdict
+                record.status = status
     report.applied = apply
     return report
 
@@ -494,14 +490,7 @@ class _ClassEntry:
     def __init__(self, trace: tuple, result: tuple):
         self.trace = trace
         self.members: dict = {}
-        verdict, continuation, blocked, compliant_with_old = result
-        self.verdict = ClassVerdict(
-            records=self.members.values(),
-            verdict=verdict,
-            continuation=continuation,
-            blocked_on=blocked,
-            compliant_with_old=compliant_with_old,
-        )
+        self.verdict = _class_verdict(self.members.values(), result)
 
 
 class FleetClassifier:
@@ -542,14 +531,10 @@ class FleetClassifier:
         self.version = version
         self.new_version = new_version
         self.witnesses = witnesses
-        self._new_kernel = kernel_of(target)
-        self._cache = ReplayCache.for_kernel(self._new_kernel)
-        self._old_kernel = (
-            kernel_of(old_model) if old_model is not None else None
-        )
+        self._cache = ReplayCache.for_kernel(kernel_of(target))
         self._old_cache = (
-            ReplayCache.for_kernel(self._old_kernel)
-            if self._old_kernel is not None
+            ReplayCache.for_kernel(kernel_of(old_model))
+            if old_model is not None
             else None
         )
         self._results: dict = {}  # id(trace) -> result tuple
@@ -575,12 +560,7 @@ class FleetClassifier:
         result = self._results.get(id(trace))
         if result is None:
             result = _classify_ids(
-                self._new_kernel,
-                self._cache,
-                self._old_kernel,
-                self._old_cache,
-                trace,
-                self.witnesses,
+                self._cache, self._old_cache, trace, self.witnesses
             )
             self._results[id(trace)] = result
             self.reclassified += 1

@@ -23,7 +23,12 @@ each distinct prefix is stepped through the kernel exactly once, and
 every further instance that shares it replays in amortized O(1) per
 event (one trie-node hop).  The cache is attached to the kernel like
 every other derived fact, which makes it a per-(version, prefix) memo —
-a new process version compiles to a new kernel and starts cold.
+a new process version compiles to a new kernel and starts cold.  The
+same cache memoizes the compliance *decision* per reached state set
+(:meth:`ReplayCache.decide`): a fleet's trace classes reach far fewer
+distinct state sets than there are classes, so the residual-language
+verdict, the canonical-BFS continuation witness and the blocked-message
+diagnosis are each computed once per (kernel, state set, witness need).
 
 The trie is also the substrate of two PR-5 behaviors: **incremental
 fleet maintenance** (an :meth:`~repro.instances.store.InstanceStore.
@@ -48,6 +53,7 @@ from repro.afsa.kernel import (
     k_replay_step,
     k_start_closure,
 )
+from repro.messages.alphabet import INTERNER
 
 #: Replay verdicts (shared with :mod:`repro.instances.migrate`).
 MIGRATABLE = "migratable"
@@ -68,6 +74,13 @@ class _TrieNode:
 class ReplayCache:
     """Memoized per-(version, trace-prefix) replay over one kernel.
 
+    Besides the prefix trie, the cache memoizes the *decision* for each
+    reached state set (:meth:`decide`): many distinct traces reach the
+    same state set, and the verdict, continuation witness and blocked
+    messages are pure functions of (kernel, state set), so each state
+    set is decided once per witness need — in the parent and, since the
+    cache rides the kernel, in every pool worker holding the kernel.
+
     Attributes:
         events: total events replayed through :meth:`replay`.
         steps: kernel step computations actually performed — for a
@@ -81,6 +94,7 @@ class ReplayCache:
         self.root = _TrieNode(k_start_closure(kernel))
         self.events = 0
         self.steps = 0
+        self._decisions: dict = {}
 
     @classmethod
     def for_kernel(cls, kernel: Kernel) -> "ReplayCache":
@@ -114,6 +128,44 @@ class ReplayCache:
                 node.children[label_id] = child
             node = child
         return node.states
+
+    def decide(
+        self, states: frozenset, continuation: bool, diagnose: bool
+    ) -> tuple:
+        """The memoized decision for an instance occupying *states*.
+
+        Returns ``(verdict, word, blocked)``: the
+        :func:`classify_states` verdict; for a migratable set with
+        *continuation* asked, the :func:`continuation_witness` as a
+        tuple of label texts (else ``None``); for a non-migratable,
+        non-empty set with *diagnose* asked, the
+        :func:`blocked_messages` as a tuple (else empty).  Each part is
+        computed on first need and kept per state set; the tuples are
+        shared between callers, which copy them before handing them
+        out.
+        """
+        entry = self._decisions.get(states)
+        if entry is None:
+            entry = self._decisions[states] = [
+                classify_states(self.kernel, states), None, None
+            ]
+        verdict, word, blocked = entry
+        if verdict == MIGRATABLE:
+            if not continuation:
+                return verdict, None, ()
+            if word is None:
+                text_of = INTERNER.text
+                intern = INTERNER.intern
+                word = entry[1] = tuple(
+                    text_of(intern(label))
+                    for label in continuation_witness(self.kernel, states)
+                )
+            return verdict, word, ()
+        if not (diagnose and states):
+            return verdict, None, ()
+        if blocked is None:
+            blocked = entry[2] = tuple(blocked_messages(self.kernel, states))
+        return verdict, None, blocked
 
 
 def replay_trace(kernel: Kernel, label_ids, cache: ReplayCache | None = None) -> frozenset:

@@ -13,9 +13,24 @@ enough for fleets of thousands to millions:
 * the store's primary read path is :meth:`classes` — the
   (version, trace) equivalence classes the batched migration sweep
   groups by before touching the kernel.
+
+The store is **indexed by version**: it keeps, per version, one
+member list per interned trace.  :meth:`add`, :meth:`extend` and
+:meth:`migrate_class` maintain the index, which is why
+``record.version`` and ``record.trace`` are read-only outside the
+store — the index cannot drift from the records.  The cost model is
+therefore per *version*, not per store: :meth:`has` of a version is
+O(1), :meth:`classes` of a version is O(classes of that version) (plus
+a C-level copy of each member list), and migrating a class to a new
+version moves its member list as a whole.  Records point at no member
+list, so a dropped store is freed by reference counting alone.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from itertools import chain
+from operator import attrgetter
 
 from repro.messages.alphabet import INTERNER
 
@@ -23,17 +38,34 @@ from repro.messages.alphabet import INTERNER
 #: migration verdicts from :mod:`repro.instances.migrate` replace it).
 RUNNING = "running"
 
+_BY_ID = attrgetter("id")
+
 
 class InstanceRecord:
-    """One running instance: version id, interned trace, status."""
+    """One running instance: version id, interned trace, status.
 
-    __slots__ = ("id", "version", "trace", "status")
+    ``version`` and ``trace`` are read-only: they place the record in
+    its store's index, so only the owning :class:`InstanceStore` moves
+    a record between classes.  ``status`` is a plain attribute.
+    """
+
+    __slots__ = ("id", "_version", "_trace", "status")
 
     def __init__(self, id: int, version: str, trace: tuple, status: str):
         self.id = id
-        self.version = version
-        self.trace = trace
+        self._version = version
+        self._trace = trace
         self.status = status
+
+    @property
+    def version(self) -> str:
+        """The version id the instance runs on."""
+        return self._version
+
+    @property
+    def trace(self) -> tuple:
+        """The interned executed trace (a shared tuple of label ids)."""
+        return self._trace
 
     def __repr__(self) -> str:
         return (
@@ -49,6 +81,10 @@ class InstanceStore:
         self._records: list[InstanceRecord] = []
         self._trace_table: dict = {}
         self._dirty: dict = {}
+        #: version -> {id(interned trace) -> member records in id
+        #: order}; empty classes and versions are dropped, so a present
+        #: key means live records.
+        self._index: dict = {}
 
     # -- building ----------------------------------------------------------
 
@@ -59,6 +95,11 @@ class InstanceStore:
         dense ids; distinct logs with equal content come back as the
         *same* tuple object.
         """
+        if type(labels) is tuple:
+            # Already interned (a spawn replaying a known conversation).
+            shared = self._trace_table.get(labels)
+            if shared is not None:
+                return shared
         intern = INTERNER.intern
         trace = tuple(
             label if isinstance(label, int) else intern(label)
@@ -70,6 +111,17 @@ class InstanceStore:
             return trace
         return shared
 
+    def _members(self, version: str, trace: tuple) -> list:
+        """The member list of the (version, trace) class, created empty
+        when missing."""
+        classes = self._index.get(version)
+        if classes is None:
+            classes = self._index[version] = {}
+        members = classes.get(id(trace))
+        if members is None:
+            members = classes[id(trace)] = []
+        return members
+
     def add(self, version: str, labels, status: str = RUNNING) -> InstanceRecord:
         """Register one instance; returns its record.
 
@@ -77,12 +129,10 @@ class InstanceStore:
         before the spawn folds them in on its next refresh instead of
         silently reporting a fleet that no longer exists.
         """
-        record = InstanceRecord(
-            id=len(self._records),
-            version=version,
-            trace=self.intern_trace(labels),
-            status=status,
-        )
+        trace = self.intern_trace(labels)
+        record = InstanceRecord(len(self._records), version, trace, status)
+        # The newest id is the largest: appending keeps id order.
+        self._members(version, trace).append(record)
         self._records.append(record)
         self._dirty[record.id] = record
         return record
@@ -95,8 +145,9 @@ class InstanceStore:
         """Append executed *events* to an instance's trace.
 
         The extended trace is re-interned (instances converging on the
-        same conversation share one tuple again) and the record is
-        marked dirty, so an incremental classifier
+        same conversation share one tuple again), the record moves to
+        the class of its new (version, trace) key, and it is marked
+        dirty, so an incremental classifier
         (:class:`~repro.instances.migrate.FleetClassifier`) re-checks
         only the affected (version, trace) classes — and because the
         old trace is a *prefix* of the new one, its replay resumes
@@ -109,9 +160,45 @@ class InstanceStore:
             for event in events
         )
         if suffix:
-            record.trace = self.intern_trace(record.trace + suffix)
+            classes = self._index[record._version]
+            members = classes[id(record._trace)]
+            members.remove(record)
+            if not members:
+                del classes[id(record._trace)]
+            record._trace = self.intern_trace(record._trace + suffix)
+            members = self._members(record._version, record._trace)
+            if not members or members[-1].id < record.id:
+                members.append(record)
+            else:
+                insort(members, record, key=_BY_ID)
             self._dirty[record.id] = record
         return record
+
+    def migrate_class(
+        self, version: str, trace: tuple, new_version: str
+    ) -> None:
+        """Move every record of the (*version*, *trace*) class to
+        *new_version* (statuses are left alone).
+
+        The class's member list moves to the new version's index as a
+        whole (plus one version write per member); when *new_version*
+        already has a class with that trace, the members merge into it
+        in instance-id order.
+        """
+        if new_version == version:
+            return
+        classes = self._index[version]
+        members = classes.pop(id(trace))
+        if not classes:
+            del self._index[version]
+        targets = self._index.setdefault(new_version, {})
+        existing = targets.get(id(trace))
+        for record in members:
+            record._version = new_version
+        if existing is None:
+            targets[id(trace)] = members
+        else:
+            existing[:] = sorted(existing + members, key=_BY_ID)
 
     def collect_dirty(
         self, version: str | None = None
@@ -149,26 +236,43 @@ class InstanceStore:
         """Return the record with the given id."""
         return self._records[instance_id]
 
+    def _classes_of(self, version: str | None):
+        if version is None:
+            return chain.from_iterable(
+                classes.values() for classes in self._index.values()
+            )
+        return self._index.get(version, {}).values()
+
+    def _select(self, version: str | None) -> list:
+        """The records of *version* (None = all) in instance-id order."""
+        if version is None:
+            return self._records
+        return sorted(
+            chain.from_iterable(self._classes_of(version)), key=_BY_ID
+        )
+
     def has(
         self, version: str | None = None, status: str | None = None
     ) -> bool:
-        """True when any record matches — short-circuits at the first
-        hit instead of materializing the filtered list."""
+        """True when any record matches (O(1) for a version alone;
+        short-circuits at the first hit otherwise)."""
+        if status is None:
+            if version is None:
+                return bool(self._records)
+            return version in self._index
         return any(
-            (version is None or record.version == version)
-            and (status is None or record.status == status)
-            for record in self._records
+            record.status == status for record in self._select(version)
         )
 
     def instances(
         self, version: str | None = None, status: str | None = None
     ) -> list[InstanceRecord]:
-        """Records filtered by version and/or status (None = any)."""
+        """Records filtered by version and/or status (None = any), in
+        instance-id order."""
         return [
             record
-            for record in self._records
-            if (version is None or record.version == version)
-            and (status is None or record.status == status)
+            for record in self._select(version)
+            if status is None or record.status == status
         ]
 
     def classes(
@@ -181,31 +285,27 @@ class InstanceStore:
         Keys are ``(version id, shared interned trace tuple)`` pairs —
         records of *different* versions never merge, even when they
         executed the same log — listed in first-seen (= instance id)
-        order.
+        order, members in instance-id order, each member list a fresh
+        list the caller may keep or mutate.
+
+        Reads only the version's classes: O(classes of that version),
+        plus the member filter when *status* is given.
         """
-        # Traces are interned to shared tuple objects, so grouping can
-        # key on object identity — O(1) per record instead of hashing
-        # the whole tuple for every instance of a long conversation.
-        classes: dict = {}
-        by_identity: dict = {}
-        for record in self._records:
-            if version is not None and record.version != version:
-                continue
-            if status is not None and record.status != status:
-                continue
-            trace = record.trace
-            key = (record.version, id(trace))
-            bucket = by_identity.get(key)
-            if bucket is None:
-                bucket = by_identity[key] = [record]
-                classes[(record.version, trace)] = bucket
-            else:
-                bucket.append(record)
-        return classes
+        groups = []
+        for members in self._classes_of(version):
+            if status is not None:
+                members = [r for r in members if r.status == status]
+            if members:
+                groups.append(members)
+        groups.sort(key=lambda members: members[0].id)
+        return {
+            (members[0]._version, members[0]._trace): list(members)
+            for members in groups
+        }
 
     def versions(self) -> list[str]:
         """The version ids present in the store (sorted)."""
-        return sorted({record.version for record in self._records})
+        return sorted(self._index)
 
     def status_counts(self, version: str | None = None) -> dict:
         """Histogram of statuses (optionally restricted to a version)."""

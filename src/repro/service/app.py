@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass
 
 from repro.afsa.lazy import VERDICTS, warm_stats
-from repro.bpel.compile import compile_process
 from repro.bpel.dsl import process_from_dsl
 from repro.bpel.xml_io import process_from_xml
 from repro.core.choreography import Choreography
@@ -1013,7 +1012,7 @@ class ChoreoService:
 
             def compute():
                 old = choreography.public(party)
-                new = compile_process(model).afsa
+                new = choreography.compile(party, model).afsa
                 version = choreography.current_version(party)
                 return version, classify_migration(
                     choreography.instances,

@@ -206,3 +206,42 @@ class TestAnnotationHelpers:
         builder.mark_final("f")
         weakened = weaken_unsupported_annotations(builder.build(start="a"))
         assert weakened.annotations == {}
+
+
+class TestDigestHashSeedIndependence:
+    """Contract 8: a kernel's content digest is a function of its
+    content, not of the interpreter's ``PYTHONHASHSEED`` (set-iteration
+    order of state names and transitions)."""
+
+    _PROBE = (
+        "from repro.afsa.kernel import kernel_of\n"
+        "from repro.afsa.serialize import kernel_digest\n"
+        "from repro.afsa.view import project_view\n"
+        "from repro.bpel.compile import compile_process\n"
+        "from repro.scenario.procurement import accounting_private\n"
+        "from repro.workload.generator import random_afsa\n"
+        "public = compile_process(accounting_private()).afsa\n"
+        "for automaton in (random_afsa(seed=5, states=96),\n"
+        "                  random_afsa(seed=11, states=24),\n"
+        "                  public, project_view(public, 'B')):\n"
+        "    print(kernel_digest(kernel_of(automaton)))\n"
+    )
+
+    def _digests(self, hash_seed: str) -> list:
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONHASHSEED"] = hash_seed
+        return subprocess.run(
+            [sys.executable, "-c", self._PROBE],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.split()
+
+    def test_digests_equal_across_hash_seeds(self):
+        first = self._digests("0")
+        assert len(first) == 4
+        assert self._digests("3") == first

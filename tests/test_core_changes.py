@@ -349,3 +349,113 @@ class TestChangeSet:
             [DeleteActivity("x"), DeleteActivity("y")]
         )
         assert ";" in change.describe()
+
+
+def _all_kinds():
+    """One applicable operation of every :class:`ChangeOperation` kind."""
+    from repro.core.changes import MoveActivity
+
+    return [
+        InsertActivity(
+            "main", Invoke(partner="Q", operation="new", name="send-new"), 1
+        ),
+        DeleteActivity("send-a"),
+        ReplaceActivity(
+            "recv-b", Receive(partner="Q", operation="b2", name="recv-b2")
+        ),
+        AddSwitchBranch(
+            "choice",
+            Case(condition="y", activity=Invoke(partner="Q", operation="e")),
+        ),
+        RemoveSwitchBranch("choice", 0),
+        AddPickBranch(
+            "gate",
+            OnMessage(partner="Q", operation="f", activity=Empty()),
+        ),
+        ChangeSet(
+            [
+                AddPickBranch(
+                    "gate",
+                    OnMessage(partner="Q", operation="g", activity=Empty()),
+                ),
+                RemovePickBranch("gate", "d"),
+            ]
+        ),
+        ReceiveToPick(
+            "recv-b",
+            alternatives=[
+                OnMessage(partner="Q", operation="h", activity=Empty())
+            ],
+        ),
+        RemoveLoop("loop"),
+        UnfoldLoop("loop", iterations=2),
+        BoundLoop("loop", max_iterations=1),
+        ChangeLoopCondition("loop", "n < 3"),
+        MoveActivity("recv-b", "main", 0),
+    ]
+
+
+class TestOldVersionImmutable:
+    """Applying a change never alters the version it was applied to:
+    the old process still equals its pre-change deep copy and still
+    compiles to the same public aFSA and mapping, although the new
+    version shares every untouched subtree with it."""
+
+    @pytest.mark.parametrize(
+        "operation", _all_kinds(), ids=lambda op: type(op).__name__
+    )
+    def test_apply_leaves_old_version_alone(self, operation):
+        import copy
+
+        from repro.afsa.kernel import kernel_of
+        from repro.afsa.serialize import kernel_digest
+        from repro.bpel.compile import compile_process
+
+        process = demo_process()
+        before = copy.deepcopy(process)
+        compiled_before = compile_process(copy.deepcopy(process))
+
+        changed = operation.apply(process)
+
+        assert process == before
+        assert changed != before
+        # Compile a fresh copy: compile_process memoizes per instance,
+        # so compiling `process` itself could serve a stale result.
+        compiled_after = compile_process(copy.deepcopy(process))
+        assert compiled_after.afsa == compiled_before.afsa
+        assert kernel_digest(kernel_of(compiled_after.afsa)) == (
+            kernel_digest(kernel_of(compiled_before.afsa))
+        )
+        assert compiled_after.mapping == compiled_before.mapping
+
+    def test_untouched_subtrees_are_shared_not_copied(self):
+        process = demo_process()
+        changed = InsertActivity(
+            "loop exit", Invoke(partner="Q", operation="late")
+        ).apply(process)
+        # Off the changed path: the same objects.
+        for name in ("send-a", "choice", "gate", "ping"):
+            assert changed.find(name) is process.find(name)
+        # On the path (root → loop → loop choice → loop exit): rebuilt.
+        for name in ("main", "loop", "loop choice", "loop exit"):
+            assert changed.find(name) is not process.find(name)
+        assert process == demo_process()
+
+    def test_every_kind_is_covered(self):
+        from repro.core import changes
+
+        kinds = {
+            value
+            for value in vars(changes).values()
+            if isinstance(value, type)
+            and issubclass(value, changes.ChangeOperation)
+            and value is not changes.ChangeOperation
+        }
+        covered = {type(operation) for operation in _all_kinds()}
+        covered |= {
+            type(inner)
+            for operation in _all_kinds()
+            if isinstance(operation, ChangeSet)
+            for inner in operation.operations
+        }
+        assert kinds <= covered

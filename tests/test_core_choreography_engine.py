@@ -243,3 +243,42 @@ class TestEngineChangeOperations:
         )
         with pytest.raises(PropagationError):
             report.impact_for("Z")
+
+
+class TestEngineAnnotationPolicy:
+    """The engine compiles a party's candidate under the annotation
+    policy the party was registered with, exactly like the
+    choreography compiles the installed version."""
+
+    def _choreography(self):
+        from repro.bpel.compile import ANNOTATE_ALL_CHOICES
+
+        choreography = Choreography("procurement")
+        choreography.add_partner(buyer_private())
+        choreography.add_partner(
+            accounting_private(), policy=ANNOTATE_ALL_CHOICES
+        )
+        choreography.add_partner(logistics_private())
+        return choreography
+
+    def test_identical_resubmission_stays_local(self):
+        choreography = self._choreography()
+        old = choreography.public("A")
+        assert old.annotations  # the policy annotates the picks
+        report = EvolutionEngine(choreography).apply_private_change(
+            "A", accounting_private(), commit=False
+        )
+        assert not report.public_changed
+        assert report.new_compiled.afsa.annotations == old.annotations
+
+    def test_compile_helper_applies_the_party_policy(self):
+        from repro.bpel.compile import ANNOTATE_ALL_CHOICES, compile_process
+
+        choreography = self._choreography()
+        process = accounting_private()
+        assert choreography.compile("A", process) is compile_process(
+            process, policy=ANNOTATE_ALL_CHOICES
+        )
+        assert choreography.compile("B", process) is compile_process(
+            process
+        )

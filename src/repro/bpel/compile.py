@@ -543,8 +543,17 @@ def _compile_fragment(
 #: (entries keep their process alive, so an unbounded table would leak every
 #: version ever compiled); the stored process reference also guards against
 #: id reuse after an eviction.
+#:
+#: The table only bridges short-range reuse (one version compiled again
+#: within the same evolve step or request), because a ``Choreography``
+#: keeps its current versions' compiled processes itself: 300 steps of
+#: the evolve benchmark miss exactly as often at 32 entries as at 256.
+#: Every further entry pins a dead version with its kernels, replay trie
+#: and decision memo, all of which each full pass of the cyclic GC
+#: traverses; at 256 entries they made most of a full pass on that
+#: loop, so the table stays small.
 _COMPILE_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
-_COMPILE_CACHE_MAX = 256
+_COMPILE_CACHE_MAX = 64
 
 
 def _compile_cache_for(process: ProcessModel) -> dict:

@@ -10,6 +10,10 @@ instance with an empty view memo — while leaving other partners'
 entries intact.
 """
 
+import gc
+import weakref
+
+from repro.bpel import compile as compile_module
 from repro.bpel.compile import compile_process
 from repro.core.choreography import Choreography
 from repro.core.engine import EvolutionEngine
@@ -56,6 +60,21 @@ class TestCompileMemo:
         plain = compile_process(process, policy="none")
         assert plain is not default
         assert not plain.afsa.annotations
+
+    def test_dead_versions_are_not_pinned_beyond_the_bound(self):
+        # A dead version's compiled process, kernels and replay trie are
+        # traversed by every full GC pass while the memo pins them.
+        early = buyer_private()
+        compile_process(early)
+        early_ref = weakref.ref(early)
+        del early
+        for _ in range(compile_module._COMPILE_CACHE_MAX):
+            compile_process(buyer_private())
+        assert len(compile_module._COMPILE_CACHE) <= (
+            compile_module._COMPILE_CACHE_MAX
+        )
+        gc.collect()
+        assert early_ref() is None
 
 
 class TestChoreographyMemo:
